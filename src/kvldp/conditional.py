@@ -29,6 +29,7 @@ from .core import (
     CapacityError,
     DomainError,
     IllConditionedError,
+    atomic_writer,
     discretize,
     ensure_generator,
     flip_keep_probability,
@@ -379,9 +380,9 @@ def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
 
 
 def save_aggregate(agg: AggregateVector, path, seed=None):
-    """Write an aggregate as a flat value-per-line file with a JSON header."""
+    """Write an aggregate as a flat value-per-line file with a JSON header, atomically."""
     header = {"d": agg.d, "epsilon": agg.epsilon, "n_users": agg.n_users, "seed": seed}
-    with open(path, "w") as handle:
+    with atomic_writer(path) as handle:
         handle.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for value in agg.values:
             handle.write("%.17g\n" % value)
@@ -393,9 +394,13 @@ def load_aggregate(path):
         first = handle.readline()
         if not first.startswith("# "):
             raise DomainError(f"{path}: missing aggregate header line")
-        header = json.loads(first[2:])
-        values = np.array([float(line) for line in handle if line.strip()], dtype=np.float64)
-    if len(values) != 3 ** header["d"]:
-        raise DomainError(f"{path}: expected 3^{header['d']} values, found {len(values)}")
-    agg = AggregateVector(values, int(header["n_users"]), int(header["d"]), float(header["epsilon"]))
-    return agg, header.get("seed")
+        try:
+            header = json.loads(first[2:])
+            d, n_users, epsilon = header["d"], int(header["n_users"]), float(header["epsilon"])
+            values = np.array([float(line) for line in handle if line.strip()], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"{path}: malformed aggregate file: {exc!r}") from exc
+    d = _check_dimension(d)
+    if len(values) != 3 ** d:
+        raise DomainError(f"{path}: expected 3^{d} values, found {len(values)}")
+    return AggregateVector(values, n_users, d, epsilon), header.get("seed")

@@ -6,12 +6,18 @@ stream.  The random source is a counter-based generator (Philox) keyed by
 (seed, stream_id): the same pair reproduces the same stream on every
 platform, and distinct stream ids give statistically independent streams
 regardless of iteration order or thread scheduling.
+
+The one side effect here is ``atomic_writer``, through which the package
+writes every file it produces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,3 +270,25 @@ def direct_encode_array(xs: np.ndarray, K: int, epsilon: float, rng) -> np.ndarr
     keep = g.random(xs.shape) < p
     offsets = g.integers(1, K, size=xs.shape)
     return np.where(keep, xs, (xs + offsets) % K)
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Open a text file that replaces ``path`` only once it is complete.
+
+    Writes go to a hidden temporary file in the target's directory, which
+    os.replace renames over the target on success and which is removed on
+    failure: a reader never sees a half-written file, and a write that
+    fails part-way leaves the earlier file intact.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temp, "x", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise

@@ -8,13 +8,14 @@ the exact ground-truth statistics one nan-aware reduction away.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, RandomSource
+from .core import CapacityError, DomainError, RandomSource, atomic_writer
 from .conditional import Condition
 from .mechanisms import KeyValueRecord
 
@@ -75,8 +76,14 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     d = len(freq_targets)
     half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
     present = rng.random((n, d)) < freq_targets[None, :]
-    jitter = rng.uniform(-1.0, 1.0, size=(n, d)) * half_width[None, :]
-    values = np.where(present, mean_targets[None, :] + jitter, np.nan)
+    # Built in place: one transient n x d float buffer instead of four.
+    # Whether four fitted the heap left by earlier work decided the
+    # process's peak memory.  The arithmetic, and so every value, is
+    # that of np.where(present, mean + uniform * half_width, nan).
+    values = rng.uniform(-1.0, 1.0, size=(n, d))
+    values *= half_width[None, :]
+    values += mean_targets[None, :]
+    values[~present] = np.nan
     return values
 
 
@@ -278,34 +285,153 @@ def true_conditional(ds: Dataset, k: int, cond: Condition):
 # ---------------------------------------------------------------------------
 
 _DATASET_MAGIC = "# kvldp-dataset "
+_ROW_FORMAT = "%d,%d,%.17g\n"
+_ROW_DTYPE = np.dtype("int64,int64,float64")
+# Rows formatted or parsed per step; bounds the transient memory of both.
+_CHUNK_ROWS = 65536
+
+
+def _format_rows(users, keys, values) -> str:
+    fields = [None] * (3 * len(users))
+    fields[0::3] = users.tolist()
+    fields[1::3] = keys.tolist()
+    fields[2::3] = values.tolist()
+    return (_ROW_FORMAT * len(users)) % tuple(fields)
 
 
 def save_dataset(ds: Dataset, path):
-    """Write 'user_index,key_index,value' rows under a provenance header."""
+    """Write 'user_index,key_index,value' rows under a provenance header, atomically."""
     header = dict(ds.provenance)
     header.update({"n": ds.n, "d": ds.d})
-    with open(path, "w", newline="\n") as handle:
+    step = max(1, _CHUNK_ROWS // max(1, ds.d))
+    with atomic_writer(path) as handle:
         handle.write(_DATASET_MAGIC + json.dumps(header, sort_keys=True) + "\n")
-        rows, keys = np.nonzero(~np.isnan(ds.values))
-        for user, key in zip(rows, keys):
-            handle.write("%d,%d,%.17g\n" % (user, key, ds.values[user, key]))
+        for first in range(0, ds.n, step):
+            block = ds.values[first:first + step]
+            users, keys = np.nonzero(~np.isnan(block))
+            handle.write(_format_rows(users + first, keys, block[users, keys]))
+
+
+def _read_header(path, text) -> dict:
+    try:
+        header = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"{path}: line 1: malformed header") from exc
+    if not isinstance(header, dict):
+        raise DomainError(f"{path}: line 1: header is not a JSON object")
+    for key in ("n", "d"):
+        if key not in header:
+            raise DomainError(f"{path}: line 1: header lacks {key!r}")
+        value = header[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DomainError(f"{path}: line 1: header {key!r} must be a non-negative integer, got {value!r}")
+    return header
+
+
+def _parse_rows(lines):
+    return np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+
+
+def _parses(lines) -> bool:
+    try:
+        _parse_rows(lines)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _first_malformed(lines) -> int:
+    """Offset of the first line np.loadtxt rejects, in non-blank lines that fail together."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parses(lines[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _first_repeat(flat, taken) -> int:
+    """Offset of the first row whose pair an earlier chunk or row already set."""
+    seen = set()
+    for offset, (code, earlier) in enumerate(zip(flat.tolist(), taken.tolist())):
+        if earlier or code in seen:
+            return offset
+        seen.add(code)
+    return -1
+
+
+def _load_chunk(path, lines, lineno, values):
+    """Parse one chunk of rows into values; lineno is the file line of lines[0]."""
+    if not any(line.strip() for line in lines):
+        return
+    offsets = np.arange(len(lines))
+    try:
+        rows = _parse_rows(lines)
+    except (ValueError, OverflowError):
+        rows = None
+    if rows is None or len(rows) != len(lines):
+        # Blank lines carry no row; keep each row's line for the messages.
+        offsets = np.flatnonzero([bool(line.strip()) for line in lines])
+    if rows is None:
+        lines = [lines[i] for i in offsets]
+        try:
+            rows = _parse_rows(lines)
+        except (ValueError, OverflowError) as exc:
+            i = _first_malformed(lines)
+            raise DomainError(f"{path}: line {lineno + offsets[i]}: malformed row {lines[i].strip()!r}") from exc
+    n, d = values.shape
+    users, keys, vals = rows["f0"], rows["f1"], rows["f2"]
+    bad_user = (users < 0) | (users >= n)
+    bad_key = (keys < 0) | (keys >= d)
+    bad = bad_user | bad_key | ~(np.abs(vals) <= 1.0)
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_user[i]:
+            reason = f"user index {users[i]} outside [0, {n})"
+        elif bad_key[i]:
+            reason = f"key index {keys[i]} outside [0, {d})"
+        elif np.isnan(vals[i]):
+            reason = "value is nan"
+        else:
+            reason = f"value {vals[i]!r} outside [-1, 1]"
+        raise DomainError(f"{path}: line {lineno + offsets[i]}: {reason}")
+    flat = users * d + keys
+    cells = values.reshape(-1)
+    taken = ~np.isnan(cells[flat])
+    ordered = np.sort(flat)
+    if taken.any() or (ordered[1:] == ordered[:-1]).any():
+        i = _first_repeat(flat, taken)
+        raise DomainError(f"{path}: line {lineno + offsets[i]}: duplicate pair (user {users[i]}, key {keys[i]})")
+    cells[flat] = vals
 
 
 def load_dataset(path) -> Dataset:
+    """Inverse of save_dataset.
+
+    Rows are parsed in bounded chunks.  A malformed row, an index outside
+    the header's n x d, a value that is nan or outside [-1, 1], a repeated
+    (user, key) pair and a header lacking n or d all raise DomainError
+    naming the file line; a header n x d too large to allocate raises
+    CapacityError.
+    """
     with open(path) as handle:
-        first = handle.readline()
-        if not first.startswith(_DATASET_MAGIC):
-            raise DomainError(f"{path}: not a kvldp dataset file")
-        header = json.loads(first[len(_DATASET_MAGIC):])
-        values = np.full((int(header["n"]), int(header["d"])), np.nan)
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
+        try:
+            first = handle.readline()
+            if not first.startswith(_DATASET_MAGIC):
+                raise DomainError(f"{path}: not a kvldp dataset file")
+            header = _read_header(path, first[len(_DATASET_MAGIC):])
             try:
-                user, key, value = line.split(",")
-                values[int(user), int(key)] = float(value)
-            except (ValueError, IndexError) as exc:
-                raise DomainError(f"{path}: line {lineno}: malformed row {line!r}") from exc
+                values = np.full((header["n"], header["d"]), np.nan)
+            except MemoryError as exc:
+                raise CapacityError(f"{path}: line 1: header n x d = {header['n']} x {header['d']} "
+                                    "does not fit in memory") from exc
+            lineno = 2
+            while lines := list(itertools.islice(handle, _CHUNK_ROWS)):
+                _load_chunk(path, lines, lineno, values)
+                lineno += len(lines)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not a text file") from exc
     provenance = {key: header[key] for key in header if key not in ("n", "d")}
     return Dataset(values, provenance)

@@ -35,9 +35,10 @@ from .conditional import (
     conditional_mean,
     simulate_ioh_bit_sums,
 )
-from .core import DomainError, PrivacyBudget, RandomSource, ensure_generator
+from .core import DomainError, PrivacyBudget, RandomSource, atomic_writer, ensure_generator
 from .datagen import Dataset, GroundTruth, true_conditional, true_stats
 from .mechanisms import (
+    PAYLOADS,
     Mechanism,
     f2m_decode_array,
     f2m_encode_population,
@@ -52,6 +53,7 @@ from .mechanisms import (
     tally_f2m,
     tally_kvoh,
     tally_ternary,
+    wire_codes,
 )
 
 MECHANISMS = ("privkv", "privkv-improved", "f2m", "kvue", "kvoh")
@@ -518,7 +520,7 @@ def emit(rows, fmt: str, path, config: dict = None):
 
     Column order follows the first row; floats carry 6 significant digits;
     the header embeds the config for reproducibility.  Output is
-    byte-deterministic for identical inputs.
+    byte-deterministic for identical inputs, and replaces path atomically.
     """
     rows = rows_to_dicts(rows) if rows and isinstance(rows[0], MetricRow) else [dict(r) for r in rows]
     if not rows:
@@ -546,7 +548,7 @@ def emit(rows, fmt: str, path, config: dict = None):
     else:
         raise ConfigError(f"unknown output format {fmt!r}; choose csv or json")
     try:
-        with open(path, "w", newline="\n") as handle:
+        with atomic_writer(path) as handle:
             handle.write(payload)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
@@ -588,23 +590,23 @@ def parse_table(path):
     return config, rows
 
 
-def population_report_lines(mechanism: str, encoded):
-    """Render a population encoding as wire-format report lines."""
-    name = Mechanism(mechanism if mechanism != "privkv-improved" else "privkv").value
-    if name in ("privkv", "kvue"):
-        for j, state in zip(encoded.key_index, encoded.states):
-            yield f"{name},{j},{state}"
-    elif name == "f2m":
-        for j, bit, sign in zip(encoded.key_index, encoded.key_bits, encoded.signs):
-            yield f"{name},{j},{bit}{1 if sign > 0 else 0}"
-    else:
-        for j, bits in zip(encoded.key_index, encoded.bits):
-            yield f"{name},{j},{bits[0]}{bits[1]}{bits[2]}"
+def population_report_lines(mechanism: str, encoded) -> list:
+    """Render a population encoding as wire-format report lines.
+
+    Every line is drawn from a table over (key, payload) indexed by
+    key * |payloads| + payload code, so only that table is formatted.
+    """
+    name = Mechanism(mechanism if mechanism != "privkv-improved" else "privkv")
+    texts = PAYLOADS[name].texts
+    key_index = np.asarray(encoded.key_index, dtype=np.int64)
+    keys = int(key_index.max()) + 1 if key_index.size else 0
+    table = [f"{name.value},{key},{text}" for key in range(keys) for text in texts]
+    return list(map(table.__getitem__, (key_index * len(texts) + wire_codes(encoded)).tolist()))
 
 
 def write_trace(path, mechanism: str, ds: Dataset, epsilon: float, rng,
                 default_value: float = 1.0):
-    """Encode the population once and write one wire-format line per report."""
+    """Encode the population once and write one wire-format line per report, atomically."""
     g = ensure_generator(rng)
     if mechanism in ("privkv", "privkv-improved"):
         encoded = lpp_encode_population(ds.values, PrivacyBudget.split(epsilon), g)
@@ -616,6 +618,8 @@ def write_trace(path, mechanism: str, ds: Dataset, epsilon: float, rng,
         encoded = kvoh_encode_population(ds.values, epsilon, g)
     else:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
-    with open(path, "w", newline="\n") as handle:
-        for line in population_report_lines(mechanism, encoded):
-            handle.write(line + "\n")
+    lines = population_report_lines(mechanism, encoded)
+    with atomic_writer(path) as handle:
+        if lines:
+            handle.write("\n".join(lines))
+            handle.write("\n")

@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    CapacityError,
     DiscretizedState,
     DomainError,
     IllConditionedError,
@@ -78,13 +79,45 @@ class KeyValueRecord:
                 raise DomainError(f"value for key {key} must lie in [-1, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Wire payloads
+# ---------------------------------------------------------------------------
+
+
+class PayloadTable:
+    """One mechanism's wire payloads; a payload's position is its packed code.
+
+    Report validation, the wire lines, bit packing and trace rendering all
+    read this one table: text <-> Report payload value <-> packed code.
+    """
+
+    def __init__(self, texts, values):
+        self.texts = tuple(texts)
+        self.values = tuple(values)
+        self.bits = (len(self.texts) - 1).bit_length()
+        self.code_of_text = {text: code for code, text in enumerate(self.texts)}
+        self.code_of_value = {value: code for code, value in enumerate(self.values)}
+
+
+_TERNARY_PAYLOADS = PayloadTable("012", (NEG, ABSENT, POS))
+_KVOH_TEXTS = [f"{code:03b}" for code in range(8)]
+PAYLOADS = {
+    Mechanism.PRIVKV: _TERNARY_PAYLOADS,
+    Mechanism.KVUE: _TERNARY_PAYLOADS,
+    # (key bit, value sign); the text is the key bit then 1 for +1, 0 for -1.
+    Mechanism.F2M: PayloadTable(("00", "01", "10", "11"), ((0, -1), (0, 1), (1, -1), (1, 1))),
+    Mechanism.KVOH: PayloadTable(_KVOH_TEXTS, [tuple(map(int, text)) for text in _KVOH_TEXTS]),
+}
+_MECHANISM_OF_NAME = {m.value: m for m in Mechanism}
+
+
+@dataclass(frozen=True, slots=True)
 class Report:
     """One perturbed client message: sampled key index plus payload.
 
     Payload shape depends on the mechanism: a ternary state digit for
     privkv/kvue, a (key bit, value sign) pair for f2m, and a 3-bit tuple
-    for kvoh.
+    for kvoh; PAYLOADS lists the legal values.
     """
 
     mechanism: Mechanism
@@ -92,48 +125,35 @@ class Report:
     payload: object
 
     def __post_init__(self):
-        if self.key_index < 0:
-            raise DomainError(f"key index must be non-negative, got {self.key_index!r}")
-        m = self.mechanism
-        p = self.payload
-        if m in (Mechanism.PRIVKV, Mechanism.KVUE):
-            if p not in (0, 1, 2):
-                raise DomainError(f"{m.value} payload must be a state digit in {{0,1,2}}, got {p!r}")
-        elif m is Mechanism.F2M:
-            if not (isinstance(p, tuple) and len(p) == 2 and p[0] in (0, 1) and p[1] in (-1, 1)):
-                raise DomainError(f"f2m payload must be (key bit, value sign), got {p!r}")
-        elif m is Mechanism.KVOH:
-            if not (isinstance(p, tuple) and len(p) == 3 and all(b in (0, 1) for b in p)):
-                raise DomainError(f"kvoh payload must be a 3-bit tuple, got {p!r}")
-        else:
-            raise DomainError(f"unknown mechanism {m!r}")
+        if not isinstance(self.key_index, (int, np.integer)) or self.key_index < 0:
+            raise DomainError(f"key index must be a non-negative integer, got {self.key_index!r}")
+        table = PAYLOADS.get(self.mechanism) if isinstance(self.mechanism, Mechanism) else None
+        if table is None:
+            raise DomainError(f"unknown mechanism {self.mechanism!r}")
+        try:
+            legal = self.payload in table.code_of_value
+        except TypeError:  # unhashable, such as a list
+            legal = False
+        if not legal:
+            raise DomainError(f"{self.mechanism.value} payload must be one of {table.values}, got {self.payload!r}")
 
     def to_line(self) -> str:
-        if self.mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-            payload = str(self.payload)
-        elif self.mechanism is Mechanism.F2M:
-            payload = f"{self.payload[0]}{1 if self.payload[1] > 0 else 0}"
-        else:
-            payload = "".join(str(b) for b in self.payload)
-        return f"{self.mechanism.value},{self.key_index},{payload}"
+        table = PAYLOADS[self.mechanism]
+        return f"{self.mechanism.value},{self.key_index},{table.texts[table.code_of_value[self.payload]]}"
 
     @classmethod
     def from_line(cls, line: str) -> "Report":
         try:
-            name, index, payload = line.strip().split(",")
-            mechanism = Mechanism(name)
+            name, index, text = line.strip().split(",")
+            mechanism = _MECHANISM_OF_NAME[name]
             key_index = int(index)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise DomainError(f"malformed report line {line!r}") from exc
-        if mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-            return cls(mechanism, key_index, int(payload))
-        if mechanism is Mechanism.F2M:
-            if len(payload) != 2 or any(c not in "01" for c in payload):
-                raise DomainError(f"malformed f2m payload in {line!r}")
-            return cls(mechanism, key_index, (int(payload[0]), 1 if payload[1] == "1" else -1))
-        if len(payload) != 3 or any(c not in "01" for c in payload):
-            raise DomainError(f"malformed kvoh payload in {line!r}")
-        return cls(mechanism, key_index, tuple(int(c) for c in payload))
+        table = PAYLOADS[mechanism]
+        code = table.code_of_text.get(text)
+        if code is None:
+            raise DomainError(f"malformed {name} payload in {line!r}")
+        return cls(mechanism, key_index, table.values[code])
 
 
 @dataclass(frozen=True)
@@ -395,23 +415,47 @@ def tally_kvoh(key_index, bits, d: int):
     return sums, np.bincount(key_index, minlength=d)
 
 
+def _report_columns(reports: Sequence[Report]):
+    """(mechanism, key indices, payload codes) of a non-empty one-mechanism report list."""
+    mechanism = reports[0].mechanism
+    if any(r.mechanism is not mechanism for r in reports):
+        raise DomainError("mixed mechanisms in one report batch")
+    code_of_value = PAYLOADS[mechanism].code_of_value
+    try:
+        key_index = np.array([r.key_index for r in reports], dtype=np.int64)
+    except OverflowError as exc:
+        raise DomainError("key index beyond the 64-bit range") from exc
+    codes = np.array([code_of_value[r.payload] for r in reports], dtype=np.int64)
+    return mechanism, key_index, codes
+
+
+def _bit_matrix(words: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) uint8 matrix of each word's low width bits, most significant first."""
+    bits = np.empty((len(words), width), dtype=np.uint8)
+    for column in range(width):
+        bits[:, column] = (words >> (width - 1 - column)) & 1
+    return bits
+
+
+def wire_codes(encoded) -> np.ndarray:
+    """Payload code (row of the mechanism's PAYLOADS table) of every report in a population encoding."""
+    if isinstance(encoded, F2MReports):
+        return encoded.key_bits.astype(np.int64) * 2 + (encoded.signs > 0)
+    if isinstance(encoded, KVOHReports):
+        return (encoded.bits.astype(np.int64) << np.array([2, 1, 0])).sum(axis=1)
+    return encoded.states.astype(np.int64)
+
+
 def tally_reports(reports: Sequence[Report], d: int):
     """Aggregate scalar reports (all of one mechanism) into decoder inputs."""
     if not reports:
         raise DomainError("no reports to tally")
-    mechanism = reports[0].mechanism
-    if any(r.mechanism is not mechanism for r in reports):
-        raise DomainError("mixed mechanisms in one tally")
-    key_index = np.array([r.key_index for r in reports], dtype=np.int64)
+    mechanism, key_index, codes = _report_columns(reports)
     if mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-        states = np.array([r.payload for r in reports], dtype=np.int64)
-        return tally_ternary(key_index, states, d)
+        return tally_ternary(key_index, codes, d)
     if mechanism is Mechanism.F2M:
-        key_bits = np.array([r.payload[0] for r in reports], dtype=np.int64)
-        signs = np.array([r.payload[1] for r in reports], dtype=np.int64)
-        return tally_f2m(key_index, key_bits, signs, d)
-    bits = np.array([r.payload for r in reports], dtype=np.int64)
-    return tally_kvoh(key_index, bits, d)
+        return tally_f2m(key_index, codes >> 1, 2 * (codes & 1) - 1, d)
+    return tally_kvoh(key_index, _bit_matrix(codes, 3), d)
 
 
 # ---------------------------------------------------------------------------
@@ -666,67 +710,64 @@ def report_size_bits(mechanism: Mechanism, d: int) -> float:
     return 3.0 * math.log2(d) if d > 1 else 0.0
 
 
-_PAYLOAD_BITS = {Mechanism.PRIVKV: 2, Mechanism.KVUE: 2, Mechanism.F2M: 2, Mechanism.KVOH: 3}
-
-
 def _index_bits(d: int) -> int:
     return (d - 1).bit_length() if d > 1 else 0
 
 
 def packed_size_bits(mechanism: Mechanism, d: int) -> int:
     """Bits one report occupies in the packed wire form."""
-    return _index_bits(d) + _PAYLOAD_BITS[Mechanism(mechanism)]
+    return _index_bits(d) + PAYLOADS[Mechanism(mechanism)].bits
 
 
-def _payload_bits(report: Report):
-    if report.mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-        return [(report.payload >> 1) & 1, report.payload & 1]
-    if report.mechanism is Mechanism.F2M:
-        return [report.payload[0], 1 if report.payload[1] > 0 else 0]
-    return list(report.payload)
+def _packed_stride(mechanism: Mechanism, d: int) -> int:
+    stride = packed_size_bits(mechanism, d)
+    if stride > 63:
+        raise CapacityError(f"a packed report of {stride} bits exceeds the 63-bit word")
+    return stride
 
 
 def pack_reports(reports: Sequence[Report], d: int) -> bytes:
-    """Bit-pack reports (all one mechanism) at packed_size_bits each."""
+    """Bit-pack reports (all one mechanism) at packed_size_bits each.
+
+    Each report is the word key_index << payload bits | payload code,
+    written most significant bit first; the stream is zero-padded to a
+    whole byte.
+    """
     if not reports:
         return b""
-    mechanism = reports[0].mechanism
-    index_bits = _index_bits(d)
-    bits = []
-    for report in reports:
-        if report.mechanism is not mechanism:
-            raise DomainError("mixed mechanisms in one packed block")
-        if report.key_index >= d:
-            raise DomainError(f"key index {report.key_index} outside domain of size {d}")
-        for position in range(index_bits - 1, -1, -1):
-            bits.append((report.key_index >> position) & 1)
-        bits.extend(_payload_bits(report))
-    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    mechanism, key_index, codes = _report_columns(reports)
+    stride = _packed_stride(mechanism, d)
+    outside = key_index >= d
+    if outside.any():
+        raise DomainError(f"key index {key_index[outside.argmax()]} outside domain of size {d}")
+    words = (key_index << PAYLOADS[mechanism].bits) | codes
+    return np.packbits(_bit_matrix(words, stride)).tobytes()
 
 
 def unpack_reports(data: bytes, mechanism: Mechanism, count: int, d: int):
     """Inverse of pack_reports."""
     mechanism = Mechanism(mechanism)
-    stride = packed_size_bits(mechanism, d)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if len(bits) < count * stride:
+    table = PAYLOADS[mechanism]
+    stride = _packed_stride(mechanism, d)
+    if count < 0:
+        raise DomainError(f"report count must be non-negative, got {count!r}")
+    if len(data) * 8 < count * stride:
         raise DomainError("packed data too short for the requested report count")
-    index_bits = _index_bits(d)
-    reports = []
-    for r in range(count):
-        chunk = bits[r * stride : (r + 1) * stride]
-        key_index = 0
-        for b in chunk[:index_bits]:
-            key_index = (key_index << 1) | int(b)
-        payload_bits = [int(b) for b in chunk[index_bits:]]
-        if mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-            payload = (payload_bits[0] << 1) | payload_bits[1]
-        elif mechanism is Mechanism.F2M:
-            payload = (payload_bits[0], 1 if payload_bits[1] == 1 else -1)
-        else:
-            payload = tuple(payload_bits)
-        reports.append(Report(mechanism, key_index, payload))
-    return reports
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * stride).reshape(count, stride)
+    words = np.zeros(count, dtype=np.int64)
+    for column in range(stride):
+        words = (words << 1) | bits[:, column]
+    mask = (1 << table.bits) - 1
+    codes = words & mask
+    key_index = words >> table.bits
+    if codes.max(initial=0) >= len(table.values):
+        raise DomainError(f"packed {mechanism.value} payload code {codes.max()} is not a legal payload")
+    if key_index.max(initial=0) >= d:
+        raise DomainError(f"packed key index {key_index.max()} outside domain of size {d}")
+    # Reports are immutable values: build each distinct one once and share it.
+    distinct, inverse = np.unique(words, return_inverse=True)
+    built = [Report(mechanism, word >> table.bits, table.values[word & mask]) for word in distinct.tolist()]
+    return list(map(built.__getitem__, inverse.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kvldp.conditional import Condition
-from kvldp.core import DomainError
+from kvldp.core import DomainError, RandomSource
 from kvldp.datagen import (
     Dataset,
     gen_regime,
@@ -73,6 +73,26 @@ def test_gen_synthetic_reproducible_and_validated():
     truth = true_stats(single)
     present = ~np.isnan(single.values[0])
     assert np.array_equal(truth.frequency, present.astype(float))
+
+
+def test_generated_values_match_the_where_formulation_bit_for_bit():
+    # The generator builds its matrix in place; it must keep every bit of
+    # np.where(present, mean + uniform * half_width, nan).
+    for ds, draws in (
+        (gen_regime("middle", "high", 7, 300, seed=4), (np.full(7, 0.6), np.full(7, 0.8))),
+        (gen_synthetic("gaussian", 6, 250, seed=5), None),
+    ):
+        rng = RandomSource(ds.provenance["seed"]).generator()
+        if draws is None:
+            freq = np.clip(rng.normal(0.5, 0.15, size=6), 0.05, 0.95)
+            mean = np.clip(rng.normal(0.0, 0.4, size=6), -0.9, 0.9)
+        else:
+            freq, mean = draws
+        half_width = np.minimum(0.1, 1.0 - np.abs(mean))
+        present = rng.random((ds.n, ds.d)) < freq[None, :]
+        jitter = rng.uniform(-1.0, 1.0, size=(ds.n, ds.d)) * half_width[None, :]
+        expected = np.where(present, mean[None, :] + jitter, np.nan)
+        assert expected.tobytes() == ds.values.tobytes()
 
 
 def test_gen_regime_validation():
