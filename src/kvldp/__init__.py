@@ -7,43 +7,21 @@ from .core import (
     IllConditionedError,
     PrivacyBudget,
     RandomSource,
-    direct_encode,
-    discretize,
     flip_keep_probability,
-    randomized_response_bit,
-    vpp,
 )
 from .mechanisms import (
-    KeyStats,
-    KeyValueRecord,
     Mechanism,
     Report,
-    StateCounts,
-    StateEstimates,
-    counts_to_stats,
-    f2m_decode,
-    f2m_encode,
-    kvoh_decode,
-    kvoh_encode,
-    kvue_decode,
-    kvue_encode,
-    lpp_encode,
-    privkv_decode_improved,
-    privkv_decode_original,
     report_size_bits,
     theoretical_bound,
 )
 from .conditional import (
     AggregateVector,
     Condition,
-    EncodedVector,
     conditional_frequency,
     conditional_mean,
     frequency_count,
     frequency_index_set,
-    ioh_aggregate,
-    ioh_encode,
-    ioh_index,
     mean_index_sets,
 )
 from .datagen import (

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .conditional import Condition
+from .conditional import Condition, aggregate_from_bit_sums, save_aggregate, simulate_ioh_bit_sums
 from .core import DomainError, RandomSource
 from .datagen import (
     FREQUENCY_REGIMES,
@@ -27,6 +27,7 @@ from .harness import (
     DEFAULT_EPSILON_GRID,
     DEFAULT_VBAR_GRID,
     MECHANISMS,
+    _COND_TAG,
     ConfigError,
     ExperimentConfig,
     default_value_study,
@@ -247,9 +248,8 @@ def _cmd_conditional(args) -> int:
                                workers=_int(_resolve(args, file_config, "workers", 1), "workers"))
         all_rows.extend(rows)
         if args.agg_out and di == 0:
-            from .conditional import aggregate_from_bit_sums, save_aggregate, simulate_ioh_bit_sums
-
-            rng = RandomSource(seed).substream(2, 0, 0).generator()
+            # run_conditional's stream for (epsilon 0, repetition 0): the aggregate behind the first rows.
+            rng = RandomSource(seed).substream(_COND_TAG, 0, 0).generator()
             sample = simulate_ioh_bit_sums(ds.values, epsilons[0], rng, method=method)
             agg = aggregate_from_bit_sums(sample.bit_sums, sample.n_users, ds.d, epsilons[0])
             save_aggregate(agg, args.agg_out, seed=seed)

@@ -30,11 +30,9 @@ from .core import (
     DomainError,
     IllConditionedError,
     atomic_writer,
-    discretize,
     ensure_generator,
     flip_keep_probability,
 )
-from .mechanisms import KeyValueRecord
 
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
 # reasonable in-memory object.
@@ -128,18 +126,6 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class EncodedVector:
-    """One user's perturbed one-hot record over 3^d positions."""
-
-    bits: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        if len(self.bits) != 3 ** self.d:
-            raise DomainError(f"bit vector must have length 3^{self.d}, got {len(self.bits)}")
-
-
-@dataclass(frozen=True)
 class AggregateVector:
     """Calibrated per-position user-count estimates (may be negative; never clipped)."""
 
@@ -147,39 +133,6 @@ class AggregateVector:
     n_users: int
     d: int
     epsilon: float
-
-
-def ioh_index(record: KeyValueRecord, d: int, rng) -> int:
-    """Map a record to its base-3 index, key 0 as the most significant digit.
-
-    Present values are discretized (one draw per present key, ascending key
-    order) so the digit is 0 or 2; absent keys contribute digit 1.
-    """
-    d = _check_dimension(d)
-    if record.d != d:
-        raise DomainError(f"record has domain size {record.d}, expected {d}")
-    g = ensure_generator(rng)
-    index = 0
-    for key in range(d):
-        if key in record.pairs:
-            digit = 2 if discretize(record.pairs[key], g) > 0 else 0
-        else:
-            digit = 1
-        index = index * 3 + digit
-    return index
-
-
-def ioh_encode(record: KeyValueRecord, d: int, epsilon: float, rng) -> EncodedVector:
-    """One-hot the record index over 3^d positions and flip every bit with budget eps/2."""
-    d = _check_dimension(d)
-    g = ensure_generator(rng)
-    index = ioh_index(record, d, g)
-    keep = flip_keep_probability(float(epsilon) / 2.0)
-    size = 3 ** d
-    u = g.random(size)
-    bits = (u >= keep).astype(np.uint8)  # start from the flipped-zero vector
-    bits[index] ^= 1
-    return EncodedVector(bits, d)
 
 
 def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float) -> AggregateVector:
@@ -197,27 +150,8 @@ def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon:
     return AggregateVector(values, int(n_users), int(d), float(epsilon))
 
 
-def ioh_aggregate(vectors, epsilon: float) -> AggregateVector:
-    """Sum a stream of encoded vectors and calibrate per position."""
-    total = None
-    n_users = 0
-    d = None
-    for vector in vectors:
-        bits = vector.bits if isinstance(vector, EncodedVector) else np.asarray(vector)
-        if total is None:
-            total = np.zeros(len(bits), dtype=np.int64)
-            d = vector.d if isinstance(vector, EncodedVector) else round(math.log(len(bits), 3))
-        elif len(bits) != len(total):
-            raise DomainError("encoded vectors disagree on length")
-        total += bits
-        n_users += 1
-    if total is None:
-        raise DomainError("cannot aggregate an empty stream of vectors")
-    return aggregate_from_bit_sums(total, n_users, d, epsilon)
-
-
 # ---------------------------------------------------------------------------
-# Vectorized population path
+# Population encoding
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +162,12 @@ class IOHSample(NamedTuple):
 
 
 def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
-    """Vectorized record indexing for a (n, d) value matrix with NaN = absent."""
+    """Base-3 record index of every row of a (n, d) value matrix with NaN = absent.
+
+    Key 0 is the most significant digit.  Each present value is discretized
+    (one draw per cell, whether present or not) so its digit is 0 or 2;
+    an absent key contributes digit 1.
+    """
     n, d = values.shape
     d = _check_dimension(d)
     g = ensure_generator(rng)
@@ -243,9 +182,10 @@ def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
 def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str = "column") -> IOHSample:
     """Draw the aggregated bit sums of an encoded population.
 
-    method='peruser' materializes every user's 3^d bit vector exactly as
-    ioh_encode would.  method='column' exploits that all n * 3^d perturbed
-    bits are independent, so each column sum is distributed as
+    method='peruser' materializes every user's 3^d bit vector: the one-hot
+    of the record's index with every bit flipped at budget eps/2, which is
+    the report each user sends.  method='column' exploits that all n * 3^d
+    perturbed bits are independent, so each column sum is distributed as
     Binomial(c_i, p) + Binomial(n - c_i, 1-p) with c_i the true count at
     position i; this samples from exactly the same law at O(3^d) cost and
     is what makes d=8 experiments tractable.

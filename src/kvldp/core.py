@@ -130,25 +130,6 @@ class DiscretizedState(enum.IntEnum):
     ABSENT = 1
     POS = 2
 
-    @classmethod
-    def from_pair(cls, key_bit: int, value_sign: int) -> "DiscretizedState":
-        if key_bit not in (0, 1):
-            raise DomainError(f"key bit must be 0 or 1, got {key_bit!r}")
-        if key_bit == 0:
-            return cls.ABSENT
-        if value_sign not in (-1, 1):
-            raise DomainError(f"value sign must be -1 or 1, got {value_sign!r}")
-        return cls(key_bit * value_sign + 1)
-
-    @property
-    def key_bit(self) -> int:
-        return 0 if self is DiscretizedState.ABSENT else 1
-
-    @property
-    def value_sign(self) -> int:
-        """Sign carried by the state; 0 for ABSENT."""
-        return int(self) - 1
-
 
 def _check_epsilon(epsilon: float) -> float:
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -165,88 +146,39 @@ def flip_keep_probability(epsilon: float) -> float:
     return 1.0 / (1.0 + math.exp(-epsilon))
 
 
-def _check_value(v: float) -> float:
-    if not (isinstance(v, (int, float, np.floating, np.integer)) and math.isfinite(v)):
-        raise DomainError(f"value must be a finite real, got {v!r}")
-    if not -1.0 <= v <= 1.0:
-        raise DomainError(f"value must lie in [-1, 1], got {v!r}")
-    return float(v)
-
-
-def discretize(v: float, rng) -> int:
-    """Round v in [-1, 1] to +-1 with Pr[+1] = (1 + v) / 2.
-
-    The expectation of the output equals v, which is what makes downstream
-    count-based mean estimators unbiased.
-    """
-    v = _check_value(v)
-    g = ensure_generator(rng)
-    return 1 if g.random() < (1.0 + v) / 2.0 else -1
-
-
-def randomized_response_bit(b: int, epsilon: float, rng) -> int:
-    """Report bit b truthfully with probability e^eps/(e^eps+1), else flip."""
-    if b not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {b!r}")
-    p = flip_keep_probability(epsilon)
-    g = ensure_generator(rng)
-    return int(b) if g.random() < p else 1 - int(b)
-
-
-def direct_encode(x: int, K: int, epsilon: float, rng) -> int:
-    """Generalized randomized response over K categories.
-
-    Keeps the true category with probability e^eps/(e^eps+K-1) and reports
-    each other category with probability (1-p)/(K-1).  K=2 reduces to the
-    binary randomized response.
-    """
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise DomainError(f"domain size K must be an integer >= 2, got {K!r}")
-    if not isinstance(x, (int, np.integer)) or not 0 <= x < K:
-        raise DomainError(f"category x must lie in [0, {K}), got {x!r}")
-    epsilon = _check_epsilon(epsilon)
-    p = 1.0 / (1.0 + (K - 1) * math.exp(-epsilon))
-    g = ensure_generator(rng)
-    if g.random() < p:
-        return int(x)
-    return int((x + g.integers(1, K)) % K)
-
-
-def vpp(v: float, epsilon: float, rng) -> int:
-    """Value perturbation primitive: discretize then randomized-response the sign.
-
-    Pr[+1] = (1+v)/2 * p + (1-v)/2 * (1-p) with p = e^eps/(e^eps+1).
-    """
-    p = flip_keep_probability(epsilon)
-    g = ensure_generator(rng)
-    sign = discretize(v, g)
-    return sign if g.random() < p else -sign
-
-
-# Vectorized counterparts.  These consume the stream of a single generator
-# with a fixed number of draws per call, so a population encode is exactly
-# reproducible for a given (seed, stream_id).
+# Perturbation primitives over arrays.  Each consumes the stream of a single
+# generator with a fixed number of draws per call, so a population encode
+# is exactly reproducible for a given (seed, stream_id); one user is a
+# one-element array.
 
 
 def discretize_array(values: np.ndarray, rng) -> np.ndarray:
-    """Vectorized discretize; returns an int8 array of +-1."""
-    g = ensure_generator(rng)
+    """Round each v in [-1, 1] to +-1 with Pr[+1] = (1 + v) / 2; an int8 array.
+
+    The expectation of each output equals v, which is what makes downstream
+    count-based mean estimators unbiased.
+    """
     values = np.asarray(values, dtype=np.float64)
+    if not np.all((values >= -1.0) & (values <= 1.0)):
+        raise DomainError("values must be finite reals in [-1, 1]")
+    g = ensure_generator(rng)
     u = g.random(values.shape)
     return np.where(u < (1.0 + values) / 2.0, 1, -1).astype(np.int8)
 
 
 def rr_bit_array(bits: np.ndarray, epsilon: float, rng) -> np.ndarray:
-    """Vectorized binary randomized response on a 0/1 array."""
+    """Binary randomized response on a 0/1 array: each bit kept w.p. e^eps/(e^eps+1)."""
     p = flip_keep_probability(epsilon)
-    g = ensure_generator(rng)
     bits = np.asarray(bits)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise DomainError("bits must be 0 or 1")
+    g = ensure_generator(rng)
     keep = g.random(bits.shape) < p
     return np.where(keep, bits, 1 - bits).astype(np.int8)
 
 
 def rr_sign_array(signs: np.ndarray, epsilon: float, rng) -> np.ndarray:
-    """Vectorized randomized response on a +-1 array (sign kept w.p. p)."""
+    """Randomized response on a +-1 array: each sign kept w.p. e^eps/(e^eps+1)."""
     p = flip_keep_probability(epsilon)
     g = ensure_generator(rng)
     signs = np.asarray(signs)
@@ -254,19 +186,21 @@ def rr_sign_array(signs: np.ndarray, epsilon: float, rng) -> np.ndarray:
     return np.where(keep, signs, -signs).astype(np.int8)
 
 
-def vpp_array(values: np.ndarray, epsilon: float, rng) -> np.ndarray:
-    g = ensure_generator(rng)
-    return rr_sign_array(discretize_array(values, g), epsilon, g)
-
-
 def direct_encode_array(xs: np.ndarray, K: int, epsilon: float, rng) -> np.ndarray:
-    """Vectorized generalized randomized response over [0, K)."""
-    if K < 2:
-        raise DomainError(f"domain size K must be >= 2, got {K!r}")
+    """Generalized randomized response over the categories [0, K).
+
+    Keeps each true category with probability e^eps/(e^eps+K-1) and reports
+    each other category with probability (1-p)/(K-1).  K=2 reduces to the
+    binary randomized response.
+    """
+    if not isinstance(K, (int, np.integer)) or K < 2:
+        raise DomainError(f"domain size K must be an integer >= 2, got {K!r}")
     epsilon = _check_epsilon(epsilon)
     p = 1.0 / (1.0 + (K - 1) * math.exp(-epsilon))
-    g = ensure_generator(rng)
     xs = np.asarray(xs)
+    if xs.size and (xs.min() < 0 or xs.max() >= K):
+        raise DomainError(f"categories must lie in [0, {K})")
+    g = ensure_generator(rng)
     keep = g.random(xs.shape) < p
     offsets = g.integers(1, K, size=xs.shape)
     return np.where(keep, xs, (xs + offsets) % K)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import CapacityError, DomainError, RandomSource, atomic_writer
 from .conditional import Condition
-from .mechanisms import KeyValueRecord
 
 FREQUENCY_REGIMES = {"extreme_low": 0.05, "low": 0.2, "middle": 0.6, "high": 0.8}
 MEAN_REGIMES = {"low": -0.8, "middle": 0.0, "high": 0.8}
@@ -34,8 +33,9 @@ class Dataset:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DomainError(f"dataset values must be a 2-d matrix, got shape {self.values.shape}")
-        finite = self.values[~np.isnan(self.values)]
-        if finite.size and (finite.min() < -1.0 or finite.max() > 1.0):
+        # fmin/fmax skip NaN and reduce without an n x d temporary.
+        if self.values.size and (np.fmin.reduce(self.values, axis=None) < -1.0
+                                 or np.fmax.reduce(self.values, axis=None) > 1.0):
             raise DomainError("dataset values must lie in [-1, 1]")
 
     @property
@@ -45,15 +45,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def record(self, i: int) -> KeyValueRecord:
-        row = self.values[i]
-        keys = np.flatnonzero(~np.isnan(row))
-        return KeyValueRecord({int(k): float(row[k]) for k in keys}, self.d)
-
-    def records(self):
-        for i in range(self.n):
-            yield self.record(i)
 
 
 @dataclass(frozen=True)
@@ -247,7 +238,7 @@ def true_stats(ds: Dataset) -> GroundTruth:
     present = ~np.isnan(ds.values)
     holders = present.sum(axis=0)
     frequency = holders / ds.n
-    sums = np.where(present, ds.values, 0.0).sum(axis=0)
+    sums = np.add.reduce(ds.values, axis=0, where=present)
     mean = np.where(holders > 0, sums / np.where(holders > 0, holders, 1), np.nan)
     return GroundTruth(frequency, mean)
 

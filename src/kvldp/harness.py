@@ -71,6 +71,11 @@ class ConfigError(ValueError):
     """An experiment configuration is inconsistent or incomplete."""
 
 
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanisms: tuple = MECHANISMS
@@ -94,8 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"repetitions must be at least 1, got {self.repetitions}")
         if not -1.0 <= self.default_value <= 1.0:
             raise ConfigError(f"default value must lie in [-1, 1], got {self.default_value}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        _check_workers(self.workers)
 
     def as_dict(self) -> dict:
         # workers is an execution detail with no effect on results, so it is
@@ -150,6 +154,19 @@ class SweepResult(NamedTuple):
     failures: list
 
 
+def _encode_population(values: np.ndarray, mechanism: str, epsilon: float, g, default_value: float):
+    """Run the population encoder behind a mechanism name; privkv-improved encodes as privkv."""
+    if mechanism in ("privkv", "privkv-improved"):
+        return lpp_encode_population(values, PrivacyBudget.split(epsilon), g)
+    if mechanism == "f2m":
+        return f2m_encode_population(values, PrivacyBudget.split(epsilon), default_value, g)
+    if mechanism == "kvue":
+        return kvue_encode_population(values, epsilon, g)
+    if mechanism == "kvoh":
+        return kvoh_encode_population(values, epsilon, g)
+    raise ConfigError(f"unknown mechanism {mechanism!r}; choose from {list(MECHANISMS)}")
+
+
 def estimate_population(values: np.ndarray, mechanism: str, epsilon: float, rng,
                         default_value: float = 1.0):
     """Encode every user, aggregate by sampled key, decode.
@@ -158,29 +175,21 @@ def estimate_population(values: np.ndarray, mechanism: str, epsilon: float, rng,
     received no reports get NaN frequency.
     """
     d = values.shape[1]
-    g = ensure_generator(rng)
-    if mechanism in ("privkv", "privkv-improved"):
-        budget = PrivacyBudget.split(epsilon)
-        encoded = lpp_encode_population(values, budget, g)
-        counts = tally_ternary(encoded.key_index, encoded.states, d)
-        if mechanism == "privkv":
-            return privkv_decode_original_array(counts, budget)
-        estimates = privkv_decode_improved_array(counts, budget)
-        return stats_from_estimates(estimates, counts.sum(axis=1))
+    encoded = _encode_population(values, mechanism, epsilon, ensure_generator(rng), default_value)
     if mechanism == "f2m":
-        budget = PrivacyBudget.split(epsilon)
-        encoded = f2m_encode_population(values, budget, default_value, g)
         ones, totals, pos, neg = tally_f2m(encoded.key_index, encoded.key_bits, encoded.signs, d)
-        return f2m_decode_array(ones, totals, pos, neg, budget, default_value)
-    if mechanism == "kvue":
-        encoded = kvue_encode_population(values, epsilon, g)
-        counts = tally_ternary(encoded.key_index, encoded.states, d)
-        return stats_from_estimates(kvue_decode_array(counts, epsilon), counts.sum(axis=1))
+        return f2m_decode_array(ones, totals, pos, neg, PrivacyBudget.split(epsilon), default_value)
     if mechanism == "kvoh":
-        encoded = kvoh_encode_population(values, epsilon, g)
         sums, totals = tally_kvoh(encoded.key_index, encoded.bits, d)
         return stats_from_estimates(kvoh_decode_array(sums, totals, epsilon), totals)
-    raise ConfigError(f"unknown mechanism {mechanism!r}; choose from {list(MECHANISMS)}")
+    counts = tally_ternary(encoded.key_index, encoded.states, d)
+    if mechanism == "privkv":
+        return privkv_decode_original_array(counts, PrivacyBudget.split(epsilon))
+    if mechanism == "privkv-improved":
+        estimates = privkv_decode_improved_array(counts, PrivacyBudget.split(epsilon))
+    else:
+        estimates = kvue_decode_array(counts, epsilon)
+    return stats_from_estimates(estimates, counts.sum(axis=1))
 
 
 def _error_metrics(frequency, mean, defined, truth: GroundTruth):
@@ -388,6 +397,7 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
         raise ConfigError(f"epsilons must be positive, got {epsilons}")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+    _check_workers(workers)
     queries = queries if queries is not None else default_conditional_queries(ds.d)
     oracle = [true_conditional(ds, k, cond) for k, cond in queries]
     root = RandomSource(seed)
@@ -441,6 +451,7 @@ def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0
     vbars = [float(v) for v in vbars]
     if any(not -1.0 <= v <= 1.0 for v in vbars):
         raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
+    _check_workers(workers)
     truth = true_stats(ds)
     root = RandomSource(seed)
     tasks = [
@@ -607,17 +618,7 @@ def population_report_lines(mechanism: str, encoded) -> list:
 def write_trace(path, mechanism: str, ds: Dataset, epsilon: float, rng,
                 default_value: float = 1.0):
     """Encode the population once and write one wire-format line per report, atomically."""
-    g = ensure_generator(rng)
-    if mechanism in ("privkv", "privkv-improved"):
-        encoded = lpp_encode_population(ds.values, PrivacyBudget.split(epsilon), g)
-    elif mechanism == "f2m":
-        encoded = f2m_encode_population(ds.values, PrivacyBudget.split(epsilon), default_value, g)
-    elif mechanism == "kvue":
-        encoded = kvue_encode_population(ds.values, epsilon, g)
-    elif mechanism == "kvoh":
-        encoded = kvoh_encode_population(ds.values, epsilon, g)
-    else:
-        raise ConfigError(f"unknown mechanism {mechanism!r}")
+    encoded = _encode_population(ds.values, mechanism, epsilon, ensure_generator(rng), default_value)
     lines = population_report_lines(mechanism, encoded)
     with atomic_writer(path) as handle:
         if lines:

@@ -18,10 +18,9 @@ recover per-key frequency and mean estimates.
   kvoh    - the ternary state one-hot encoded into 3 bits, each bit
             flipped independently with budget eps/2.
 
-Scalar functions operate on one record/report and match the contracts
-used by the tests; the *_population functions are vectorized equivalents
-drawing a fixed number of variates from one generator, which is what the
-experiment harness runs.
+The *_population encoders privatize a whole (n, d) population at once,
+drawing a fixed number of variates from one generator; one user is a
+1-row matrix.  Decoders work on per-key tallies, one row per key.
 """
 
 from __future__ import annotations
@@ -39,15 +38,12 @@ from .core import (
     DomainError,
     IllConditionedError,
     PrivacyBudget,
-    direct_encode,
-    discretize,
+    direct_encode_array,
     discretize_array,
     ensure_generator,
     flip_keep_probability,
-    randomized_response_bit,
     rr_bit_array,
     rr_sign_array,
-    vpp,
 )
 
 _MIN_CONDITIONING = 1e-12
@@ -60,23 +56,6 @@ class Mechanism(str, enum.Enum):
     F2M = "f2m"
     KVUE = "kvue"
     KVOH = "kvoh"
-
-
-@dataclass(frozen=True)
-class KeyValueRecord:
-    """One user's sparse key -> value map over the key domain [0, d)."""
-
-    pairs: dict
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise DomainError(f"key domain size must be a positive integer, got {self.d!r}")
-        for key, value in self.pairs.items():
-            if not isinstance(key, (int, np.integer)) or not 0 <= key < self.d:
-                raise DomainError(f"key index {key!r} outside [0, {self.d})")
-            if not (math.isfinite(value) and -1.0 <= value <= 1.0):
-                raise DomainError(f"value for key {key} must lie in [-1, 1], got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,144 +135,6 @@ class Report:
         return cls(mechanism, key_index, table.values[code])
 
 
-@dataclass(frozen=True)
-class StateCounts:
-    """Observed numbers of the three report states for one key."""
-
-    m_absent: int
-    m_pos: int
-    m_neg: int
-
-    def __post_init__(self):
-        for name in ("m_absent", "m_pos", "m_neg"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-
-    @property
-    def total(self) -> int:
-        return int(self.m_absent + self.m_pos + self.m_neg)
-
-    def as_digit_array(self) -> np.ndarray:
-        """Counts indexed by state digit [neg, absent, pos]."""
-        return np.array([self.m_neg, self.m_absent, self.m_pos], dtype=np.int64)
-
-    @classmethod
-    def from_digit_array(cls, row) -> "StateCounts":
-        return cls(m_absent=int(row[ABSENT]), m_pos=int(row[POS]), m_neg=int(row[NEG]))
-
-
-@dataclass(frozen=True)
-class StateEstimates:
-    """Calibrated (possibly negative) estimates of the true state counts.
-
-    For the state-channel decoders (privkv improved, kvue) the three parts
-    sum to the number of reports; the per-bit kvoh decoder calibrates each
-    position independently, so its raw parts need not sum to anything.
-    """
-
-    n_absent: float
-    n_pos: float
-    n_neg: float
-    total: float
-
-    def as_digit_array(self) -> np.ndarray:
-        return np.array([self.n_neg, self.n_absent, self.n_pos], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class KeyStats:
-    """Final per-key estimates: frequency in [0,1], mean in [-1,1].
-
-    mean is NaN (and mean_defined False) when the estimated support for the
-    key is below one report, where a mean carries no signal.
-    """
-
-    frequency: float
-    mean: float
-    mean_defined: bool
-    support: int
-
-
-# ---------------------------------------------------------------------------
-# Scalar encoders
-# ---------------------------------------------------------------------------
-
-
-def _sample_index(record: KeyValueRecord, g: np.random.Generator) -> int:
-    if record.d < 1:
-        raise DomainError("empty key domain")
-    return int(g.integers(record.d))
-
-
-def lpp_encode(record: KeyValueRecord, budget: PrivacyBudget, rng) -> Report:
-    """Local perturbation protocol behind privkv.
-
-    Samples one key uniformly.  A present key perturbs its value sign with
-    the value budget, then survives as <1, sign> with probability
-    e^eps1/(e^eps1+1), otherwise degrades to <0,0>.  An absent key draws a
-    uniform placeholder value in [-1,1], perturbs it the same way, and
-    stays <0,0> with probability e^eps1/(e^eps1+1), otherwise materializes
-    as <1, sign>.
-    """
-    g = ensure_generator(rng)
-    j = _sample_index(record, g)
-    p1 = flip_keep_probability(budget.epsilon_key)
-    if j in record.pairs:
-        sign = vpp(record.pairs[j], budget.epsilon_value, g)
-        state = DiscretizedState.from_pair(1, sign) if g.random() < p1 else DiscretizedState.ABSENT
-    else:
-        placeholder = float(g.uniform(-1.0, 1.0))
-        sign = vpp(placeholder, budget.epsilon_value, g)
-        state = DiscretizedState.ABSENT if g.random() < p1 else DiscretizedState.from_pair(1, sign)
-    return Report(Mechanism.PRIVKV, j, int(state))
-
-
-def f2m_encode(record: KeyValueRecord, budget: PrivacyBudget, default_value: float, rng) -> Report:
-    """Perturb key bit and value sign independently; absent keys carry the default value."""
-    if not -1.0 <= default_value <= 1.0:
-        raise DomainError(f"default value must lie in [-1, 1], got {default_value!r}")
-    g = ensure_generator(rng)
-    j = _sample_index(record, g)
-    key_bit = 1 if j in record.pairs else 0
-    perturbed_bit = randomized_response_bit(key_bit, budget.epsilon_key, g)
-    value = record.pairs.get(j, default_value)
-    sign = vpp(value, budget.epsilon_value, g)
-    return Report(Mechanism.F2M, j, (perturbed_bit, sign))
-
-
-def _true_state(record: KeyValueRecord, j: int, g: np.random.Generator) -> DiscretizedState:
-    if j in record.pairs:
-        return DiscretizedState.from_pair(1, discretize(record.pairs[j], g))
-    return DiscretizedState.ABSENT
-
-
-def kvue_encode(record: KeyValueRecord, epsilon: float, rng) -> Report:
-    """Generalized randomized response over the three discretized states."""
-    g = ensure_generator(rng)
-    j = _sample_index(record, g)
-    state = _true_state(record, j, g)
-    reported = direct_encode(int(state), 3, epsilon, g)
-    return Report(Mechanism.KVUE, j, int(reported))
-
-
-def kvoh_encode(record: KeyValueRecord, epsilon: float, rng) -> Report:
-    """One-hot encode the discretized state into 3 bits, flip each with budget eps/2.
-
-    Any two states differ in exactly two bits, so the per-bit budget eps/2
-    composes to eps for the whole array.  The output may contain any number
-    of set bits.
-    """
-    g = ensure_generator(rng)
-    j = _sample_index(record, g)
-    state = int(_true_state(record, j, g))
-    bits = tuple(
-        randomized_response_bit(1 if position == state else 0, epsilon / 2.0, g)
-        for position in range(3)
-    )
-    return Report(Mechanism.KVOH, j, bits)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized population encoders
 # ---------------------------------------------------------------------------
@@ -365,10 +206,7 @@ def kvue_encode_population(values: np.ndarray, epsilon: float, rng) -> TernaryRe
     key_index, sampled, present = _gather_sampled(values, g)
     v_star = discretize_array(np.where(present, sampled, 0.0), g)
     true_states = _digits(present, v_star)
-    p = 1.0 / (1.0 + 2.0 * math.exp(-float(epsilon)))
-    keep = g.random(sampled.shape) < p
-    offsets = g.integers(1, 3, size=sampled.shape)
-    states = np.where(keep, true_states, (true_states + offsets) % 3).astype(np.int8)
+    states = direct_encode_array(true_states, 3, epsilon, g).astype(np.int8)
     return TernaryReports(key_index, states, true_states)
 
 
@@ -415,8 +253,8 @@ def tally_kvoh(key_index, bits, d: int):
     return sums, np.bincount(key_index, minlength=d)
 
 
-def _report_columns(reports: Sequence[Report]):
-    """(mechanism, key indices, payload codes) of a non-empty one-mechanism report list."""
+def _report_columns(reports: Sequence[Report], d: int):
+    """(mechanism, key indices, payload codes) of a non-empty one-mechanism report list over [0, d)."""
     mechanism = reports[0].mechanism
     if any(r.mechanism is not mechanism for r in reports):
         raise DomainError("mixed mechanisms in one report batch")
@@ -425,6 +263,9 @@ def _report_columns(reports: Sequence[Report]):
         key_index = np.array([r.key_index for r in reports], dtype=np.int64)
     except OverflowError as exc:
         raise DomainError("key index beyond the 64-bit range") from exc
+    outside = key_index >= d
+    if outside.any():
+        raise DomainError(f"key index {key_index[outside.argmax()]} outside domain of size {d}")
     codes = np.array([code_of_value[r.payload] for r in reports], dtype=np.int64)
     return mechanism, key_index, codes
 
@@ -450,7 +291,7 @@ def tally_reports(reports: Sequence[Report], d: int):
     """Aggregate scalar reports (all of one mechanism) into decoder inputs."""
     if not reports:
         raise DomainError("no reports to tally")
-    mechanism, key_index, codes = _report_columns(reports)
+    mechanism, key_index, codes = _report_columns(reports, d)
     if mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
         return tally_ternary(key_index, codes, d)
     if mechanism is Mechanism.F2M:
@@ -591,48 +432,6 @@ def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_valu
     return frequency, mean, defined
 
 
-# Scalar wrappers over the array decoders.
-
-
-def privkv_decode_original(counts: StateCounts, budget: PrivacyBudget) -> KeyStats:
-    frequency, mean, defined = privkv_decode_original_array(counts.as_digit_array()[None, :], budget)
-    return KeyStats(float(frequency[0]), float(mean[0]), bool(defined[0]), counts.total)
-
-
-def privkv_decode_improved(counts: StateCounts, budget: PrivacyBudget) -> StateEstimates:
-    row = privkv_decode_improved_array(counts.as_digit_array()[None, :], budget)[0]
-    return StateEstimates(n_absent=float(row[ABSENT]), n_pos=float(row[POS]), n_neg=float(row[NEG]), total=float(counts.total))
-
-
-def kvue_decode(counts: StateCounts, epsilon: float) -> StateEstimates:
-    row = kvue_decode_array(counts.as_digit_array()[None, :], epsilon)[0]
-    return StateEstimates(n_absent=float(row[ABSENT]), n_pos=float(row[POS]), n_neg=float(row[NEG]), total=float(counts.total))
-
-
-def kvoh_decode(bit_sums, n_reports: int, epsilon: float) -> StateEstimates:
-    sums = np.asarray(bit_sums, dtype=np.float64)
-    if sums.shape != (3,):
-        raise DomainError(f"bit sums must have 3 positions, got shape {sums.shape}")
-    row = kvoh_decode_array(sums[None, :], np.array([n_reports], dtype=np.float64), epsilon)[0]
-    return StateEstimates(n_absent=float(row[ABSENT]), n_pos=float(row[POS]), n_neg=float(row[NEG]), total=float(n_reports))
-
-
-def counts_to_stats(estimates: StateEstimates, n_sampled_for_key: int) -> KeyStats:
-    frequency, mean, defined = stats_from_estimates(
-        estimates.as_digit_array()[None, :], np.array([n_sampled_for_key], dtype=np.float64)
-    )
-    return KeyStats(float(frequency[0]), float(mean[0]), bool(defined[0]), int(n_sampled_for_key))
-
-
-def f2m_decode(key_bit_counts, value_sign_counts, budget: PrivacyBudget, default_value: float) -> KeyStats:
-    ones, total = key_bit_counts
-    m_pos, m_neg = value_sign_counts
-    frequency, mean, defined = f2m_decode_array(
-        np.array([ones]), np.array([total]), np.array([m_pos]), np.array([m_neg]), budget, default_value
-    )
-    return KeyStats(float(frequency[0]), float(mean[0]), bool(defined[0]), int(total))
-
-
 # ---------------------------------------------------------------------------
 # Closed-form error bounds and communication cost
 # ---------------------------------------------------------------------------
@@ -735,11 +534,8 @@ def pack_reports(reports: Sequence[Report], d: int) -> bytes:
     """
     if not reports:
         return b""
-    mechanism, key_index, codes = _report_columns(reports)
+    mechanism, key_index, codes = _report_columns(reports, d)
     stride = _packed_stride(mechanism, d)
-    outside = key_index >= d
-    if outside.any():
-        raise DomainError(f"key index {key_index[outside.argmax()]} outside domain of size {d}")
     words = (key_index << PAYLOADS[mechanism].bits) | codes
     return np.packbits(_bit_matrix(words, stride)).tobytes()
 

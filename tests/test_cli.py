@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from kvldp.cli import main
+from kvldp.conditional import Condition, conditional_frequency, conditional_mean, load_aggregate
 from kvldp.datagen import load_dataset
 from kvldp.harness import parse_table
 
@@ -81,6 +82,19 @@ def test_conditional_command(tmp_path):
                  "--n", "500", "--out", str(tmp_path / "cond2.csv"),
                  "--agg-out", str(agg_out)]) == 0
     assert agg_out.exists()
+
+
+def test_conditional_agg_out_reproduces_first_row(tmp_path):
+    out = tmp_path / "cond.csv"
+    agg_out = tmp_path / "agg.txt"
+    assert main(["conditional", "--dims", "3,2", "--epsilon", "2,4", "--reps", "2", "--n", "3000",
+                 "--seed", "8", "--out", str(out), "--agg-out", str(agg_out)]) == 0
+    _, rows = parse_table(out)
+    agg, seed = load_aggregate(agg_out)
+    assert (agg.d, agg.epsilon, agg.n_users, seed) == (3, 2.0, 3000, 8)
+    query = Condition.parse(rows[0]["condition"], 3)
+    assert "%.6g" % conditional_frequency(agg, 0, query) == "%.6g" % rows[0]["freq_est"]
+    assert "%.6g" % conditional_mean(agg, 0, query) == "%.6g" % rows[0]["mean_est"]
 
 
 def test_conditional_explicit_query(tmp_path):

@@ -16,9 +16,6 @@ from kvldp.conditional import (
     conditional_mean,
     frequency_count,
     frequency_index_set,
-    ioh_aggregate,
-    ioh_encode,
-    ioh_index,
     ioh_index_population,
     load_aggregate,
     mean_index_sets,
@@ -27,7 +24,6 @@ from kvldp.conditional import (
 )
 from kvldp.core import CapacityError, DomainError, RandomSource
 from kvldp.datagen import Dataset, true_conditional
-from kvldp.mechanisms import KeyValueRecord
 
 # Three users over {Hamburger, Fries, Pepsi} with deterministic +-1 values:
 # user1 <1,1>,<0,0>,<1,-1>; user2 <1,-1>,<1,1>,<1,1>; user3 <0,0>,<1,-1>,<1,-1>.
@@ -38,22 +34,33 @@ TOY_VALUES = np.array([
 ])
 
 
+def _ref_ioh_index(row, g):
+    """Per-record reference: ascending keys, one discretization draw per present key."""
+    index = 0
+    for value in row:
+        if math.isnan(value):
+            digit = 1
+        else:
+            digit = 2 if g.random() < (1.0 + value) / 2.0 else 0
+        index = index * 3 + digit
+    return index
+
+
 def test_ioh_index_frozen_examples():
     g = RandomSource(1).generator()
     # States (<1,1>, <0,0>, <1,-1>) have digits (2,1,0): 2*9 + 1*3 + 0 = 21.
-    record = KeyValueRecord({0: 1.0, 2: -1.0}, 3)
-    assert ioh_index(record, 3, g) == 21
-    assert ioh_index(KeyValueRecord({}, 1), 1, g) == 1
+    assert ioh_index_population(np.array([[1.0, np.nan, -1.0]]), g)[0] == 21
+    assert ioh_index_population(np.array([[np.nan]]), g)[0] == 1
     # Both keys present at +1 is the maximal index 3^2 - 1 = 8.
-    assert ioh_index(KeyValueRecord({0: 1.0, 1: 1.0}, 2), 2, g) == 8
+    assert ioh_index_population(np.array([[1.0, 1.0]]), g)[0] == 8
 
 
 def test_ioh_index_errors():
     g = RandomSource(1).generator()
     with pytest.raises(CapacityError):
-        ioh_index(KeyValueRecord({}, IOH_DIMENSION_CAP + 1), IOH_DIMENSION_CAP + 1, g)
+        ioh_index_population(np.full((1, IOH_DIMENSION_CAP + 1), np.nan), g)
     with pytest.raises(DomainError):
-        ioh_index(KeyValueRecord({}, 3), 2, g)
+        ioh_index_population(np.empty((1, 0)), g)
 
 
 def test_ioh_index_population_matches_scalar():
@@ -61,25 +68,35 @@ def test_ioh_index_population_matches_scalar():
     indices = ioh_index_population(TOY_VALUES, g)
     # Deterministic +-1 values fix the digits: (2,1,0), (0,2,2), (1,0,0).
     assert list(indices) == [21, 8, 9]
+    # On +-1 values the index is a function of the record, so both paths agree row by row.
+    rng = np.random.default_rng(8)
+    values = np.where(rng.random((500, 5)) < 0.6, rng.choice([-1.0, 1.0], (500, 5)), np.nan)
+    ref = [_ref_ioh_index(row, g) for row in values]
+    assert list(ioh_index_population(values, g)) == ref
+    # On fractional values the two paths draw differently but share one law:
+    # every index count agrees within 4 standard deviations of a difference.
+    n = 20000
+    row = np.array([0.3, np.nan, -0.6])
+    ref = np.bincount([_ref_ioh_index(row, g) for _ in range(n)], minlength=27)
+    got = np.bincount(ioh_index_population(np.tile(row, (n, 1)), g), minlength=27)
+    assert np.all(np.abs(got - ref) <= 4 * np.sqrt(got + ref + 1))
 
 
 def test_ioh_encode_noiseless_is_one_hot():
     g = RandomSource(3).generator()
-    record = KeyValueRecord({0: 1.0, 2: -1.0}, 3)
-    encoded = ioh_encode(record, 3, 50.0, g)
-    expected = np.zeros(27, dtype=np.uint8)
+    sample = simulate_ioh_bit_sums(np.array([[1.0, np.nan, -1.0]]), 50.0, g, method="peruser")
+    expected = np.zeros(27, dtype=np.int64)
     expected[21] = 1
-    assert (encoded.bits == expected).all()
+    assert (sample.bit_sums == expected).all()
 
 
 def test_ioh_encode_expected_set_bits():
     # d=1 at eps = 2 ln3: each bit kept w.p. 0.75, so a one-hot input sets
     # 0.75 + 2 * 0.25 = 1.25 bits on average.
     g = RandomSource(4).generator()
-    record = KeyValueRecord({0: 1.0}, 1)
     rounds = 20000
-    total = sum(int(ioh_encode(record, 1, 2 * math.log(3), g).bits.sum()) for _ in range(rounds))
-    assert total / rounds == pytest.approx(1.25, abs=0.01)
+    sample = simulate_ioh_bit_sums(np.ones((rounds, 1)), 2 * math.log(3), g, method="peruser")
+    assert sample.bit_sums.sum() / rounds == pytest.approx(1.25, abs=0.01)
 
 
 def test_ioh_aggregate_frozen_calibration():
@@ -90,13 +107,11 @@ def test_ioh_aggregate_frozen_calibration():
 
 def test_ioh_aggregate_noiseless_counts():
     g = RandomSource(5).generator()
-    vectors = [ioh_encode(KeyValueRecord({0: 1.0}, 1), 1, 50.0, g) for _ in range(40)]
-    vectors += [ioh_encode(KeyValueRecord({}, 1), 1, 50.0, g) for _ in range(10)]
-    agg = ioh_aggregate(vectors, 50.0)
+    values = np.concatenate([np.full(40, 1.0), np.full(10, np.nan)])[:, None]
+    sample = simulate_ioh_bit_sums(values, 50.0, g, method="peruser")
+    agg = aggregate_from_bit_sums(sample.bit_sums, sample.n_users, 1, 50.0)
     assert agg.n_users == 50
     assert np.allclose(agg.values, [0.0, 10.0, 40.0], atol=1e-6)
-    with pytest.raises(DomainError):
-        ioh_aggregate([], 1.0)
 
 
 def test_ioh_aggregate_unbiased_monte_carlo():

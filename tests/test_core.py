@@ -12,16 +12,22 @@ from kvldp.core import (
     DomainError,
     PrivacyBudget,
     RandomSource,
-    direct_encode,
     direct_encode_array,
-    discretize,
     discretize_array,
     flip_keep_probability,
-    randomized_response_bit,
     rr_bit_array,
-    vpp,
-    vpp_array,
+    rr_sign_array,
 )
+
+
+def _ref_discretize(v, g):
+    """Per-value reference: one uniform draw, +1 when it falls below (1 + v) / 2."""
+    return 1 if g.random() < (1.0 + v) / 2.0 else -1
+
+
+def _vpp(values, epsilon, g):
+    """Value perturbation as the encoders run it: discretize, then randomized-response the sign."""
+    return rr_sign_array(discretize_array(values, g), epsilon, g)
 
 
 def test_flip_keep_probability_closed_forms():
@@ -40,15 +46,15 @@ def test_flip_keep_probability_domain(bad):
 
 def test_discretize_boundaries_are_deterministic():
     g = RandomSource(1).generator()
-    assert all(discretize(1.0, g) == 1 for _ in range(1000))
-    assert all(discretize(-1.0, g) == -1 for _ in range(1000))
+    assert (discretize_array(np.ones(1000), g) == 1).all()
+    assert (discretize_array(np.full(1000, -1.0), g) == -1).all()
 
 
 def test_discretize_rejects_out_of_range():
     g = RandomSource(1).generator()
     for bad in (1.0001, -2.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            discretize(bad, g)
+            discretize_array(np.array([0.0, bad]), g)
 
 
 def test_discretize_monte_carlo_against_closed_form():
@@ -59,9 +65,12 @@ def test_discretize_monte_carlo_against_closed_form():
 
 def test_discretize_scalar_matches_array_law():
     g = RandomSource(11).generator()
-    hits = sum(discretize(0.5, g) == 1 for _ in range(200000))
+    scalar = np.array([_ref_discretize(0.5, g) for _ in range(200000)])
+    hits = int((scalar == 1).sum())
     # 4 sigma band around 0.75 at 2e5 draws
     assert abs(hits / 200000 - 0.75) < 4 * math.sqrt(0.75 * 0.25 / 200000)
+    # One draw per value in stream order, so the same stream gives the same signs.
+    assert (discretize_array(np.full(200000, 0.5), RandomSource(11).generator()) == scalar).all()
 
 
 def test_discretize_unbiased_over_value_grid():
@@ -75,13 +84,13 @@ def test_discretize_unbiased_over_value_grid():
 
 def test_randomized_response_bit_laws():
     g = RandomSource(5).generator()
-    assert all(randomized_response_bit(1, 50.0, g) == 1 for _ in range(1000))
+    assert (rr_bit_array(np.ones(1000, dtype=np.int8), 50.0, g) == 1).all()
     zeros = rr_bit_array(np.zeros(10**6, dtype=np.int8), math.log(3), g)
     assert (zeros == 0).mean() == pytest.approx(0.75, abs=0.002)
     near_uniform = rr_bit_array(np.ones(10**6, dtype=np.int8), 1e-9, g)
     assert (near_uniform == 1).mean() == pytest.approx(0.5, abs=0.002)
     with pytest.raises(DomainError):
-        randomized_response_bit(2, 1.0, g)
+        rr_bit_array(np.array([0, 2]), 1.0, g)
 
 
 def test_randomized_response_symmetry_at_matched_seeds():
@@ -111,7 +120,7 @@ def test_direct_encode_monte_carlo():
     assert counts[0] == pytest.approx(0.5, abs=0.002)
     assert counts[1] == pytest.approx(0.25, abs=0.002)
     assert counts[2] == pytest.approx(0.25, abs=0.002)
-    assert all(direct_encode(2, 3, 50.0, g) == 2 for _ in range(1000))
+    assert (direct_encode_array(np.full(1000, 2), 3, 50.0, g) == 2).all()
 
 
 def test_direct_encode_binary_matches_rr_law():
@@ -123,21 +132,21 @@ def test_direct_encode_binary_matches_rr_law():
 def test_direct_encode_domain_errors():
     g = RandomSource(1).generator()
     with pytest.raises(DomainError):
-        direct_encode(0, 1, 1.0, g)
+        direct_encode_array(np.array([0]), 1, 1.0, g)
     with pytest.raises(DomainError):
-        direct_encode(3, 3, 1.0, g)
+        direct_encode_array(np.array([0, 3]), 3, 1.0, g)
     with pytest.raises(DomainError):
-        direct_encode(0, 3, -1.0, g)
+        direct_encode_array(np.array([0]), 3, -1.0, g)
 
 
 def test_vpp_closed_form():
     g = RandomSource(19).generator()
-    assert all(vpp(1.0, 50.0, g) == 1 for _ in range(1000))
+    assert (_vpp(np.ones(1000), 50.0, g) == 1).all()
     # v=0 is symmetric for any budget
-    out = vpp_array(np.zeros(10**6), 0.7, g)
+    out = _vpp(np.zeros(10**6), 0.7, g)
     assert (out == 1).mean() == pytest.approx(0.5, abs=0.002)
     # v=0.5, eps=ln3: 0.75*0.75 + 0.25*0.25 = 0.625
-    out = vpp_array(np.full(10**6, 0.5), math.log(3), g)
+    out = _vpp(np.full(10**6, 0.5), math.log(3), g)
     assert (out == 1).mean() == pytest.approx(0.625, abs=0.002)
 
 
@@ -185,16 +194,12 @@ def test_rr_keep_probability_property(eps, bit):
     assert 0.5 < p < 1.0 or p == pytest.approx(1.0)
     assert flip_keep_probability(eps + 1.0) > p - 1e-15
     g = RandomSource(0).generator()
-    assert randomized_response_bit(bit, eps, g) in (0, 1)
+    assert rr_bit_array(np.array([bit]), eps, g)[0] in (0, 1)
 
 
 def test_discretized_state_digit_identity():
-    assert DiscretizedState.from_pair(0, 1) is DiscretizedState.ABSENT
-    assert DiscretizedState.from_pair(1, 1) is DiscretizedState.POS
-    assert DiscretizedState.from_pair(1, -1) is DiscretizedState.NEG
-    for state in DiscretizedState:
-        assert int(state) == state.key_bit * state.value_sign + 1
-    with pytest.raises(DomainError):
-        DiscretizedState.from_pair(1, 0)
-    with pytest.raises(DomainError):
-        DiscretizedState.from_pair(2, 1)
+    # digit = key_bit * value_sign + 1 for the three (key bit, value sign) states
+    for key_bit, value_sign, state in ((0, 0, DiscretizedState.ABSENT), (1, 1, DiscretizedState.POS),
+                                       (1, -1, DiscretizedState.NEG)):
+        assert int(state) == key_bit * value_sign + 1
+    assert list(DiscretizedState) == [DiscretizedState.NEG, DiscretizedState.ABSENT, DiscretizedState.POS]

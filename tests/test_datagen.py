@@ -193,6 +193,17 @@ def test_true_stats_toy_tables():
     assert math.isnan(true_stats(nobody).mean[0])
 
 
+def test_true_stats_matches_the_where_formulation_bit_for_bit():
+    # true_stats sums holders' values without an n x d copy; every bit of
+    # the per-key sums and means must match the masked-copy formulation.
+    for ds in (gen_synthetic("gaussian", 30, 4000, seed=6), gen_regime("low", "high", 9, 3000, seed=7)):
+        present = ~np.isnan(ds.values)
+        holders = present.sum(axis=0)
+        sums = np.where(present, ds.values, 0.0).sum(axis=0)
+        mean = np.where(holders > 0, sums / np.where(holders > 0, holders, 1), np.nan)
+        assert true_stats(ds).mean.tobytes() == mean.tobytes()
+
+
 def test_true_conditional_toy_tables():
     ds = Dataset(TOY_VALUES)
     freq, _ = true_conditional(ds, 0, Condition.parse("k3=1", 3))
@@ -222,13 +233,19 @@ def test_true_conditional_empty_population_and_validation():
 
 def test_dataset_record_view_and_validation():
     ds = Dataset(TOY_VALUES)
-    record = ds.record(0)
-    assert record.pairs == {0: 1.0, 2: -1.0}
-    assert record.d == 3
+    row = ds.values[0]
+    present = np.flatnonzero(~np.isnan(row))
+    assert dict(zip(present.tolist(), row[present].tolist())) == {0: 1.0, 2: -1.0}
+    assert ds.d == 3
     with pytest.raises(DomainError):
         Dataset(np.array([[2.0]]))
     with pytest.raises(DomainError):
+        Dataset(np.array([[np.nan, -np.inf]]))
+    with pytest.raises(DomainError):
         Dataset(np.zeros(3))
+    # NaN marks an absent key; all-absent and empty matrices are valid.
+    assert Dataset(np.full((2, 2), np.nan)).n == 2
+    assert Dataset(np.empty((0, 3))).d == 3
 
 
 def test_dataset_round_trip(tmp_path):

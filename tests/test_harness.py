@@ -258,6 +258,15 @@ def test_run_conditional_validation():
         run_conditional(big, epsilons=[1.0], repetitions=1, seed=0)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_experiments_reject_non_positive_workers(workers):
+    ds = Dataset(np.ones((10, 2)))
+    with pytest.raises(ConfigError, match="workers"):
+        run_conditional(ds, epsilons=[1.0], repetitions=1, seed=0, workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        default_value_study(ds, epsilons=(1.0,), repetitions=1, seed=0, workers=workers)
+
+
 def test_condition_text_round_trip():
     cond = Condition.parse("k3=1,k1=0", 3)
     assert condition_text(cond) == "k1=0,k3=1"

@@ -17,37 +17,24 @@ from kvldp.mechanisms import (
     ABSENT,
     NEG,
     POS,
-    KeyValueRecord,
     Mechanism,
     Report,
-    StateCounts,
-    StateEstimates,
     count_deviation_bound,
-    counts_to_stats,
     f2m_channel,
-    f2m_decode,
     f2m_decode_array,
-    f2m_encode,
     f2m_encode_population,
     kvoh_channel,
     kvoh_bit_channel,
-    kvoh_decode,
     kvoh_decode_array,
-    kvoh_encode,
     kvoh_encode_population,
     kvue_channel,
-    kvue_decode,
     kvue_decode_array,
-    kvue_encode,
     kvue_encode_population,
     lpp_channel,
-    lpp_encode,
     lpp_encode_population,
     pack_reports,
     packed_size_bits,
-    privkv_decode_improved,
     privkv_decode_improved_array,
-    privkv_decode_original,
     privkv_decode_original_array,
     report_size_bits,
     stats_from_estimates,
@@ -73,6 +60,28 @@ def _population(n_absent, n_pos, n_neg):
     return column[:, None]
 
 
+def _counts(m_absent, m_pos, m_neg):
+    """One key's report tally as a 1-row array indexed by state digit."""
+    row = np.zeros((1, 3), dtype=np.int64)
+    row[0, ABSENT], row[0, POS], row[0, NEG] = m_absent, m_pos, m_neg
+    return row
+
+
+def _estimates(n_absent, n_pos, n_neg):
+    """One key's state-count estimates as a 1-row array indexed by state digit."""
+    row = np.zeros((1, 3))
+    row[0, ABSENT], row[0, POS], row[0, NEG] = n_absent, n_pos, n_neg
+    return row
+
+
+def _f2m_decode(key_bit_counts, value_sign_counts, budget, default_value):
+    """f2m_decode_array on one key: (ones, total) and (+1, -1) counts in, (freq, mean, defined) out."""
+    (ones, total), (m_pos, m_neg) = key_bit_counts, value_sign_counts
+    frequency, mean, defined = f2m_decode_array(np.array([ones]), np.array([total]), np.array([m_pos]),
+                                                np.array([m_neg]), budget, default_value)
+    return frequency[0], mean[0], defined[0]
+
+
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
@@ -81,13 +90,10 @@ def _population(n_absent, n_pos, n_neg):
 def test_lpp_encode_limits():
     g = RandomSource(1).generator()
     budget = PrivacyBudget(50.0, 50.0)
-    full = KeyValueRecord({k: 1.0 for k in range(4)}, 4)
-    for _ in range(200):
-        report = lpp_encode(full, budget, g)
-        assert report.payload == POS
-    empty = KeyValueRecord({}, 4)
-    for _ in range(200):
-        assert lpp_encode(empty, budget, g).payload == ABSENT
+    full = np.ones((200, 4))
+    assert (lpp_encode_population(full, budget, g).states == POS).all()
+    empty = np.full((200, 4), np.nan)
+    assert (lpp_encode_population(empty, budget, g).states == ABSENT).all()
 
 
 def test_lpp_branch_probabilities():
@@ -105,13 +111,11 @@ def test_lpp_branch_probabilities():
 def test_f2m_encode_limits_and_independence():
     g = RandomSource(3).generator()
     budget = PrivacyBudget(50.0, 50.0)
-    held = KeyValueRecord({0: 1.0}, 1)
-    for _ in range(200):
-        assert f2m_encode(held, budget, 1.0, g).payload == (1, 1)
-    absent = KeyValueRecord({}, 1)
-    for _ in range(200):
-        # The value sign carries the default value, not zero.
-        assert f2m_encode(absent, budget, 1.0, g).payload == (0, 1)
+    held = f2m_encode_population(np.ones((200, 1)), budget, 1.0, g)
+    assert (held.key_bits == 1).all() and (held.signs == 1).all()
+    absent = f2m_encode_population(np.full((200, 1), np.nan), budget, 1.0, g)
+    # The value sign carries the default value, not zero.
+    assert (absent.key_bits == 0).all() and (absent.signs == 1).all()
 
     budget = PrivacyBudget(LN3, LN3)
     encoded = f2m_encode_population(np.zeros((10**6, 1)), budget, 1.0, RandomSource(4).generator())
@@ -133,15 +137,23 @@ def test_kvue_encode_distribution():
     assert shares[ABSENT] == pytest.approx(0.25, abs=0.002)
     assert shares[NEG] == pytest.approx(0.25, abs=0.002)
     g = RandomSource(6).generator()
-    record = KeyValueRecord({0: 1.0}, 1)
-    assert all(kvue_encode(record, 50.0, g).payload == POS for _ in range(200))
+    assert (kvue_encode_population(np.ones((200, 1)), 50.0, g).states == POS).all()
+
+
+def test_population_encoders_reject_bad_epsilon():
+    values = np.ones((10, 2))
+    g = RandomSource(10).generator()
+    for eps in (-2.0, 0.0, math.nan):
+        with pytest.raises(DomainError):
+            kvue_encode_population(values, eps, g)
+        with pytest.raises(DomainError):
+            kvoh_encode_population(values, eps, g)
 
 
 def test_kvoh_encode_distribution():
     g = RandomSource(7).generator()
-    record = KeyValueRecord({0: -1.0}, 1)
-    for _ in range(200):
-        assert kvoh_encode(record, 50.0, g).payload == (1, 0, 0)
+    encoded = kvoh_encode_population(np.full((200, 1), -1.0), 50.0, g)
+    assert (encoded.bits == [1, 0, 0]).all()
     # eps = 2 ln3 keeps each bit w.p. 0.75; Pr[(1,0,0) | NEG] = 0.75^3.
     encoded = kvoh_encode_population(np.full((10**6, 1), -1.0), 2 * LN3, RandomSource(8).generator())
     exact = ((encoded.bits == [1, 0, 0]).all(axis=1)).mean()
@@ -156,43 +168,42 @@ def test_kvoh_encode_distribution():
 def test_privkv_original_frequency_calibration():
     # p1 = 0.75, observed signed share 0.6 -> (0.75 - 1 + 0.6) / 0.5 = 0.7
     budget = PrivacyBudget(LN3, LN3)
-    counts = StateCounts(m_absent=40, m_pos=30, m_neg=30)  # signed share 60/100
-    stats = privkv_decode_original(counts, budget)
-    assert stats.frequency == pytest.approx(0.7, rel=1e-12)
+    counts = _counts(m_absent=40, m_pos=30, m_neg=30)  # signed share 60/100
+    frequency, _, _ = privkv_decode_original_array(counts, budget)
+    assert frequency[0] == pytest.approx(0.7, rel=1e-12)
 
 
 def test_privkv_original_mean_calibration():
     # p2 = 0.75, N = 100, m_pos = 60, m_neg = 40:
     # n1 = -0.5*100 + 60/0.5 = 70, n2 = -0.5*100 + 40/0.5 = 30, mean 0.4
     budget = PrivacyBudget(LN3, LN3)
-    stats = privkv_decode_original(StateCounts(m_absent=0, m_pos=60, m_neg=40), budget)
-    assert stats.mean == pytest.approx(0.4, rel=1e-12)
-    assert stats.mean_defined
+    _, mean, defined = privkv_decode_original_array(_counts(m_absent=0, m_pos=60, m_neg=40), budget)
+    assert mean[0] == pytest.approx(0.4, rel=1e-12)
+    assert defined[0]
 
 
 def test_privkv_original_noiseless_passthrough():
     budget = PrivacyBudget(50.0, 50.0)
-    counts = StateCounts(m_absent=25, m_pos=45, m_neg=30)
-    stats = privkv_decode_original(counts, budget)
-    assert stats.frequency == pytest.approx(0.75, abs=1e-9)
-    assert stats.mean == pytest.approx((45 - 30) / 75, abs=1e-9)
+    frequency, mean, _ = privkv_decode_original_array(_counts(m_absent=25, m_pos=45, m_neg=30), budget)
+    assert frequency[0] == pytest.approx(0.75, abs=1e-9)
+    assert mean[0] == pytest.approx((45 - 30) / 75, abs=1e-9)
 
 
 def test_privkv_original_degenerate_mean():
     budget = PrivacyBudget(1.0, 1.0)
-    stats = privkv_decode_original(StateCounts(m_absent=10, m_pos=0, m_neg=0), budget)
-    assert not stats.mean_defined
-    assert math.isnan(stats.mean)
+    _, mean, defined = privkv_decode_original_array(_counts(m_absent=10, m_pos=0, m_neg=0), budget)
+    assert not defined[0]
+    assert math.isnan(mean[0])
 
 
 def test_privkv_improved_frozen_example():
     # p1 = p2 = 0.75, (M0, M1, M-1) = (40, 40, 20):
     # sum = (60 - 25)/0.5 = 70, diff = 20/0.375 = 53.33..
     budget = PrivacyBudget(LN3, LN3)
-    est = privkv_decode_improved(StateCounts(m_absent=40, m_pos=40, m_neg=20), budget)
-    assert est.n_pos == pytest.approx(61.0 + 2.0 / 3.0, rel=1e-12)
-    assert est.n_neg == pytest.approx(8.0 + 1.0 / 3.0, rel=1e-12)
-    assert est.n_absent == pytest.approx(30.0, rel=1e-12)
+    est = privkv_decode_improved_array(_counts(m_absent=40, m_pos=40, m_neg=20), budget)[0]
+    assert est[POS] == pytest.approx(61.0 + 2.0 / 3.0, rel=1e-12)
+    assert est[NEG] == pytest.approx(8.0 + 1.0 / 3.0, rel=1e-12)
+    assert est[ABSENT] == pytest.approx(30.0, rel=1e-12)
 
 
 def test_privkv_improved_matches_direct_closed_form():
@@ -205,23 +216,23 @@ def test_privkv_improved_matches_direct_closed_form():
     rng = np.random.default_rng(0)
     for _ in range(25):
         m = rng.integers(0, 500, size=3)
-        counts = StateCounts(m_absent=int(m[0]), m_pos=int(m[1]), m_neg=int(m[2]))
-        total = counts.total
-        n1 = ((p1 * p2p + p1p) * counts.m_pos + (p1 * p2p - p1p) * counts.m_neg
+        m_absent, m_pos, m_neg = (int(x) for x in m)
+        total = m_absent + m_pos + m_neg
+        n1 = ((p1 * p2p + p1p) * m_pos + (p1 * p2p - p1p) * m_neg
               - p1 * p2p * (1 - p1) * total) / (2 * p1 * p1p * p2p)
-        n_neg = ((p1 * p2p - p1p) * counts.m_pos + (p1 * p2p + p1p) * counts.m_neg
+        n_neg = ((p1 * p2p - p1p) * m_pos + (p1 * p2p + p1p) * m_neg
                  - p1 * p2p * (1 - p1) * total) / (2 * p1 * p1p * p2p)
-        est = privkv_decode_improved(counts, budget)
-        assert est.n_pos == pytest.approx(n1, rel=1e-12, abs=1e-9)
-        assert est.n_neg == pytest.approx(n_neg, rel=1e-12, abs=1e-9)
+        est = privkv_decode_improved_array(_counts(m_absent, m_pos, m_neg), budget)[0]
+        assert est[POS] == pytest.approx(n1, rel=1e-12, abs=1e-9)
+        assert est[NEG] == pytest.approx(n_neg, rel=1e-12, abs=1e-9)
 
 
 def test_privkv_improved_noiseless_identity():
     budget = PrivacyBudget(50.0, 50.0)
-    est = privkv_decode_improved(StateCounts(m_absent=37, m_pos=41, m_neg=22), budget)
-    assert est.n_pos == pytest.approx(41, abs=1e-6)
-    assert est.n_neg == pytest.approx(22, abs=1e-6)
-    assert est.n_absent == pytest.approx(37, abs=1e-6)
+    est = privkv_decode_improved_array(_counts(m_absent=37, m_pos=41, m_neg=22), budget)[0]
+    assert est[POS] == pytest.approx(41, abs=1e-6)
+    assert est[NEG] == pytest.approx(22, abs=1e-6)
+    assert est[ABSENT] == pytest.approx(37, abs=1e-6)
 
 
 def test_privkv_improved_unbiased_monte_carlo():
@@ -240,18 +251,18 @@ def test_privkv_improved_unbiased_monte_carlo():
 
 def test_kvue_decode_frozen_example():
     # p = 0.5 (eps = ln2), (M0, M1, M-1) = (50, 30, 20), M = 100.
-    est = kvue_decode(StateCounts(m_absent=50, m_pos=30, m_neg=20), math.log(2))
-    assert est.n_absent == pytest.approx(100.0, rel=1e-12)
-    assert est.n_pos == pytest.approx(20.0, rel=1e-12)
-    assert est.n_neg == pytest.approx(-20.0, rel=1e-12)
-    assert est.n_absent + est.n_pos + est.n_neg == pytest.approx(100.0, rel=1e-12)
+    est = kvue_decode_array(_counts(m_absent=50, m_pos=30, m_neg=20), math.log(2))[0]
+    assert est[ABSENT] == pytest.approx(100.0, rel=1e-12)
+    assert est[POS] == pytest.approx(20.0, rel=1e-12)
+    assert est[NEG] == pytest.approx(-20.0, rel=1e-12)
+    assert est.sum() == pytest.approx(100.0, rel=1e-12)
 
 
 def test_kvue_decode_noiseless_identity():
-    est = kvue_decode(StateCounts(m_absent=11, m_pos=7, m_neg=5), 50.0)
-    assert est.n_absent == pytest.approx(11, abs=1e-6)
-    assert est.n_pos == pytest.approx(7, abs=1e-6)
-    assert est.n_neg == pytest.approx(5, abs=1e-6)
+    est = kvue_decode_array(_counts(m_absent=11, m_pos=7, m_neg=5), 50.0)[0]
+    assert est[ABSENT] == pytest.approx(11, abs=1e-6)
+    assert est[POS] == pytest.approx(7, abs=1e-6)
+    assert est[NEG] == pytest.approx(5, abs=1e-6)
 
 
 def test_kvue_unbiased_monte_carlo_with_variance_oracle():
@@ -281,19 +292,19 @@ def test_kvue_unbiased_monte_carlo_with_variance_oracle():
 
 def test_kvoh_decode_frozen_example():
     # e^{eps/2} = 3, M_i = 30, N = 100: (4*30 - 100)/2 = 10.
-    est = kvoh_decode(np.array([30, 30, 30]), 100, 2 * LN3)
-    assert est.n_pos == pytest.approx(10.0, rel=1e-12)
-    assert est.n_neg == pytest.approx(10.0, rel=1e-12)
-    assert est.n_absent == pytest.approx(10.0, rel=1e-12)
+    est = kvoh_decode_array(np.array([[30, 30, 30]]), np.array([100]), 2 * LN3)[0]
+    assert est[POS] == pytest.approx(10.0, rel=1e-12)
+    assert est[NEG] == pytest.approx(10.0, rel=1e-12)
+    assert est[ABSENT] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_kvoh_decode_noiseless_and_validation():
-    est = kvoh_decode(np.array([40, 35, 25]), 100, 50.0)
-    assert est.n_neg == pytest.approx(40, abs=1e-6)
-    assert est.n_absent == pytest.approx(35, abs=1e-6)
-    assert est.n_pos == pytest.approx(25, abs=1e-6)
+    est = kvoh_decode_array(np.array([[40, 35, 25]]), np.array([100]), 50.0)[0]
+    assert est[NEG] == pytest.approx(40, abs=1e-6)
+    assert est[ABSENT] == pytest.approx(35, abs=1e-6)
+    assert est[POS] == pytest.approx(25, abs=1e-6)
     with pytest.raises(DomainError):
-        kvoh_decode(np.array([101, 0, 0]), 100, 1.0)
+        kvoh_decode_array(np.array([[101, 0, 0]]), np.array([100]), 1.0)
 
 
 def test_kvoh_unbiased_monte_carlo_with_variance_oracle():
@@ -318,20 +329,20 @@ def test_f2m_decode_frozen_examples():
     # Noiseless key channel (f* = 0.5) and value channel with
     # m_all = (875 - 125)/1000 = 0.75: m_k* = (0.75 - 0.5 * 1)/0.5 = 0.5.
     budget = PrivacyBudget(50.0, 50.0)
-    stats = f2m_decode((500, 1000), (875, 125), budget, 1.0)
-    assert stats.frequency == pytest.approx(0.5, abs=1e-9)
-    assert stats.mean == pytest.approx(0.5, abs=1e-9)
+    frequency, mean, _ = _f2m_decode((500, 1000), (875, 125), budget, 1.0)
+    assert frequency == pytest.approx(0.5, abs=1e-9)
+    assert mean == pytest.approx(0.5, abs=1e-9)
     # f* = 1 leaves nothing to subtract: m_k* = m_all.
-    stats = f2m_decode((1000, 1000), (875, 125), budget, -0.3)
-    assert stats.frequency == pytest.approx(1.0, abs=1e-9)
-    assert stats.mean == pytest.approx(0.75, abs=1e-9)
+    frequency, mean, _ = _f2m_decode((1000, 1000), (875, 125), budget, -0.3)
+    assert frequency == pytest.approx(1.0, abs=1e-9)
+    assert mean == pytest.approx(0.75, abs=1e-9)
 
 
 def test_f2m_decode_degenerate_frequency():
     budget = PrivacyBudget(1.0, 1.0)
-    stats = f2m_decode((0, 1000), (500, 500), budget, 1.0)
-    assert not stats.mean_defined
-    assert math.isnan(stats.mean)
+    _, mean, defined = _f2m_decode((0, 1000), (500, 500), budget, 1.0)
+    assert not defined
+    assert math.isnan(mean)
 
 
 def test_f2m_noiseless_population_mean():
@@ -341,27 +352,28 @@ def test_f2m_noiseless_population_mean():
     n = 10**5
     encoded = f2m_encode_population(np.full((n, 1), 0.6), budget, 1.0, RandomSource(9).generator())
     ones, totals, pos, neg = tally_f2m(encoded.key_index, encoded.key_bits, encoded.signs, 1)
-    stats = f2m_decode((int(ones[0]), int(totals[0])), (int(pos[0]), int(neg[0])), budget, 1.0)
-    assert stats.frequency == pytest.approx(1.0, abs=1e-9)
-    assert stats.mean == pytest.approx(0.6, abs=4 * math.sqrt((1 - 0.36) / n))
+    frequency, mean, _ = _f2m_decode((int(ones[0]), int(totals[0])), (int(pos[0]), int(neg[0])), budget, 1.0)
+    assert frequency == pytest.approx(1.0, abs=1e-9)
+    assert mean == pytest.approx(0.6, abs=4 * math.sqrt((1 - 0.36) / n))
 
 
 def test_counts_to_stats_frozen_examples():
-    stats = counts_to_stats(StateEstimates(0.0, 50.0, 50.0, 100.0), 100)
-    assert stats.frequency == pytest.approx(1.0)
-    assert stats.mean == pytest.approx(0.0)
+    n_reports = np.array([100.0])
+    frequency, mean, _ = stats_from_estimates(_estimates(0.0, 50.0, 50.0), n_reports)
+    assert frequency[0] == pytest.approx(1.0)
+    assert mean[0] == pytest.approx(0.0)
     # Negative estimates are clipped before the ratio: (100, 20, -20) -> f*=0.2, m*=1.
-    stats = counts_to_stats(StateEstimates(100.0, 20.0, -20.0, 100.0), 100)
-    assert stats.frequency == pytest.approx(0.2)
-    assert stats.mean == pytest.approx(1.0)
-    stats = counts_to_stats(StateEstimates(60.0, 30.0, 10.0, 100.0), 100)
-    assert stats.frequency == pytest.approx(0.4)
-    assert stats.mean == pytest.approx(0.5)
+    frequency, mean, _ = stats_from_estimates(_estimates(100.0, 20.0, -20.0), n_reports)
+    assert frequency[0] == pytest.approx(0.2)
+    assert mean[0] == pytest.approx(1.0)
+    frequency, mean, _ = stats_from_estimates(_estimates(60.0, 30.0, 10.0), n_reports)
+    assert frequency[0] == pytest.approx(0.4)
+    assert mean[0] == pytest.approx(0.5)
 
 
 def test_counts_to_stats_degenerate():
-    stats = counts_to_stats(StateEstimates(100.0, 0.4, 0.3, 100.0), 100)
-    assert not stats.mean_defined
+    _, _, defined = stats_from_estimates(_estimates(100.0, 0.4, 0.3), np.array([100.0]))
+    assert not defined[0]
     zero = stats_from_estimates(np.array([[0.0, 0.0, 0.0]]), np.array([0.0]))
     assert math.isnan(zero[0][0])
     assert not zero[2][0]
@@ -383,17 +395,17 @@ eps_strategy = st.floats(min_value=0.01, max_value=20.0)
 @settings(max_examples=100, deadline=None)
 def test_privkv_improved_conservation(counts, eps1, eps2):
     budget = PrivacyBudget(eps1, eps2)
-    est = privkv_decode_improved(StateCounts(*counts), budget)
+    est = privkv_decode_improved_array(_counts(*counts), budget)[0]
     total = sum(counts)
-    assert abs(est.n_absent + est.n_pos + est.n_neg - total) <= 1e-9 * max(total, 1)
+    assert abs(est.sum() - total) <= 1e-9 * max(total, 1)
 
 
 @given(counts_strategy, eps_strategy)
 @settings(max_examples=100, deadline=None)
 def test_kvue_conservation(counts, eps):
-    est = kvue_decode(StateCounts(*counts), eps)
+    est = kvue_decode_array(_counts(*counts), eps)[0]
     total = sum(counts)
-    assert abs(est.n_absent + est.n_pos + est.n_neg - total) <= 1e-9 * max(total, 1)
+    assert abs(est.sum() - total) <= 1e-9 * max(total, 1)
 
 
 def test_improved_linear_identities():
@@ -401,22 +413,22 @@ def test_improved_linear_identities():
     budget = PrivacyBudget(0.9, 1.7)
     p1 = 1 / (1 + math.exp(-0.9))
     p2 = 1 / (1 + math.exp(-1.7))
-    counts = StateCounts(m_absent=123, m_pos=456, m_neg=78)
-    est = privkv_decode_improved(counts, budget)
-    total = counts.total
-    expected_sum = (counts.m_pos + counts.m_neg - total * (1 - p1)) / (2 * p1 - 1)
-    expected_diff = (counts.m_pos - counts.m_neg) / (p1 * (2 * p2 - 1))
-    assert est.n_pos + est.n_neg == pytest.approx(expected_sum, rel=1e-12)
-    assert est.n_pos - est.n_neg == pytest.approx(expected_diff, rel=1e-12)
+    m_absent, m_pos, m_neg = 123, 456, 78
+    est = privkv_decode_improved_array(_counts(m_absent, m_pos, m_neg), budget)[0]
+    total = m_absent + m_pos + m_neg
+    expected_sum = (m_pos + m_neg - total * (1 - p1)) / (2 * p1 - 1)
+    expected_diff = (m_pos - m_neg) / (p1 * (2 * p2 - 1))
+    assert est[POS] + est[NEG] == pytest.approx(expected_sum, rel=1e-12)
+    assert est[POS] - est[NEG] == pytest.approx(expected_diff, rel=1e-12)
 
 
 def test_ill_conditioned_budgets_raise():
     with pytest.raises(IllConditionedError):
-        privkv_decode_improved(StateCounts(1, 1, 1), PrivacyBudget(1e-13, 1.0))
+        privkv_decode_improved_array(_counts(1, 1, 1), PrivacyBudget(1e-13, 1.0))
     with pytest.raises(IllConditionedError):
-        kvue_decode(StateCounts(1, 1, 1), 1e-13)
+        kvue_decode_array(_counts(1, 1, 1), 1e-13)
     with pytest.raises(IllConditionedError):
-        kvoh_decode(np.array([1, 1, 1]), 3, 1e-13)
+        kvoh_decode_array(np.array([[1, 1, 1]]), np.array([3]), 1e-13)
 
 
 def test_noiseless_degeneracy_all_mechanisms():
@@ -599,14 +611,12 @@ def test_tally_reports_matches_population_tallies():
     g = RandomSource(33).generator()
     budget = PrivacyBudget(1.0, 1.0)
     record_values = np.where(g.random((200, 5)) < 0.5, 0.3, np.nan)
-    reports = []
-    for i in range(200):
-        row = record_values[i]
-        pairs = {int(k): float(row[k]) for k in np.flatnonzero(~np.isnan(row))}
-        reports.append(lpp_encode(KeyValueRecord(pairs, 5), budget, g))
+    encoded = lpp_encode_population(record_values, budget, g)
+    reports = [Report(Mechanism.PRIVKV, j, s) for j, s in zip(encoded.key_index.tolist(), encoded.states.tolist())]
     counts = tally_reports(reports, 5)
     assert counts.shape == (5, 3)
     assert counts.sum() == 200
+    assert (counts == tally_ternary(encoded.key_index, encoded.states, 5)).all()
     with pytest.raises(DomainError):
         tally_reports([], 5)
 

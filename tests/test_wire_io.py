@@ -222,6 +222,16 @@ def test_pack_edge_cases():
         pack_reports([Report(Mechanism.KVUE, 0, 1), Report(Mechanism.PRIVKV, 0, 1)], 5)
 
 
+@pytest.mark.parametrize("payload", [1, (1, 1), (0, 1, 0)], ids=["ternary", "f2m", "kvoh"])
+def test_tally_reports_rejects_key_outside_domain(payload):
+    mechanism = {1: Mechanism.KVUE, (1, 1): Mechanism.F2M, (0, 1, 0): Mechanism.KVOH}[payload]
+    reports = [Report(mechanism, 0, payload), Report(mechanism, 7, payload)]
+    with pytest.raises(DomainError, match="key index 7 outside domain of size 5"):
+        tally_reports(reports, 5)
+    with pytest.raises(DomainError, match="key index 7 outside domain of size 5"):
+        pack_reports(reports, 5)
+
+
 @pytest.mark.parametrize("payload", [3, -1, 0.5, "1", None, (1, 0), [1, -1], {1}, np.array([1, 0, 1])])
 def test_report_rejects_illegal_payloads(payload):
     for mechanism in Mechanism:
