@@ -173,8 +173,9 @@ def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
     g = ensure_generator(rng)
     u = g.random((n, d))
     present = ~np.isnan(values)
-    positive = u < (1.0 + np.where(present, values, 0.0)) / 2.0
-    digits = np.where(present, np.where(positive, 2, 0), 1).astype(np.int64)
+    # digit = key_bit * value_sign + 1; an absent value's NaN threshold compares false.
+    positive = u < (1.0 + values) / 2.0
+    digits = 1 + present * (positive.view(np.int8) * 2 - 1)
     powers = 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)
     return digits @ powers
 
@@ -204,7 +205,7 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     if method == "peruser":
         onehot = indices[:, None] == np.arange(size, dtype=np.int64)[None, :]
         u = g.random((n, size))
-        bits = np.where(onehot, u < keep, u < 1.0 - keep)
+        bits = (onehot & (u < keep)) | (~onehot & (u < 1.0 - keep))
         return IOHSample(bits.sum(axis=0), n, true_counts)
     raise DomainError(f"unknown simulation method {method!r}")
 

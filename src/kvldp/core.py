@@ -163,7 +163,7 @@ def discretize_array(values: np.ndarray, rng) -> np.ndarray:
         raise DomainError("values must be finite reals in [-1, 1]")
     g = ensure_generator(rng)
     u = g.random(values.shape)
-    return np.where(u < (1.0 + values) / 2.0, 1, -1).astype(np.int8)
+    return (u < (1.0 + values) / 2.0).view(np.int8) * 2 - 1
 
 
 def rr_bit_array(bits: np.ndarray, epsilon: float, rng) -> np.ndarray:
@@ -174,7 +174,7 @@ def rr_bit_array(bits: np.ndarray, epsilon: float, rng) -> np.ndarray:
         raise DomainError("bits must be 0 or 1")
     g = ensure_generator(rng)
     keep = g.random(bits.shape) < p
-    return np.where(keep, bits, 1 - bits).astype(np.int8)
+    return (keep == (bits == 1)).view(np.int8)
 
 
 def rr_sign_array(signs: np.ndarray, epsilon: float, rng) -> np.ndarray:
@@ -183,7 +183,7 @@ def rr_sign_array(signs: np.ndarray, epsilon: float, rng) -> np.ndarray:
     g = ensure_generator(rng)
     signs = np.asarray(signs)
     keep = g.random(signs.shape) < p
-    return np.where(keep, signs, -signs).astype(np.int8)
+    return (signs * (keep.view(np.int8) * 2 - 1)).astype(np.int8, copy=False)
 
 
 def direct_encode_array(xs: np.ndarray, K: int, epsilon: float, rng) -> np.ndarray:
@@ -203,7 +203,10 @@ def direct_encode_array(xs: np.ndarray, K: int, epsilon: float, rng) -> np.ndarr
     g = ensure_generator(rng)
     keep = g.random(xs.shape) < p
     offsets = g.integers(1, K, size=xs.shape)
-    return np.where(keep, xs, (xs + offsets) % K)
+    # A flipped category moves by its offset modulo K; a kept one by 0.
+    moved = xs + offsets * ~keep
+    moved -= K * (moved >= K)
+    return moved
 
 
 @contextlib.contextmanager

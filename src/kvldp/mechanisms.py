@@ -39,7 +39,6 @@ from .core import (
     IllConditionedError,
     PrivacyBudget,
     direct_encode_array,
-    discretize_array,
     ensure_generator,
     flip_keep_probability,
     rr_bit_array,
@@ -164,29 +163,45 @@ class KVOHReports(NamedTuple):
     true_states: np.ndarray
 
 
+_ONE_HOT = np.eye(3, dtype=bool)  # row s is the kvoh one-hot of state digit s
+
+
 def _gather_sampled(values: np.ndarray, g: np.random.Generator):
     n, d = values.shape
     key_index = g.integers(0, d, size=n)
-    sampled = values[np.arange(n), key_index]
+    sampled = values.reshape(-1).take(np.arange(0, n * d, d) + key_index)
     present = ~np.isnan(sampled)
     return key_index, sampled, present
 
 
+def _discretize_sampled(sampled: np.ndarray, present: np.ndarray, fill, g: np.random.Generator) -> np.ndarray:
+    """discretize_array of the sampled values with fill in place of the absent (NaN) ones.
+
+    Thresholds instead of selecting the fill: an absent value's own
+    threshold is NaN, which compares false, so one draw per report gives
+    the same signs as discretizing the filled array.
+    """
+    if np.fmin.reduce(sampled, initial=0.0) < -1.0 or np.fmax.reduce(sampled, initial=0.0) > 1.0:
+        raise DomainError("values must be finite reals in [-1, 1]")
+    u = g.random(sampled.shape)
+    positive = u < (1.0 + sampled) / 2.0
+    positive |= ~present & (u < (1.0 + fill) / 2.0)
+    return positive.view(np.int8) * 2 - 1
+
+
 def _digits(present: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    return np.where(present, np.where(signs > 0, POS, NEG), ABSENT).astype(np.int8)
+    """State digit key_bit * value_sign + 1 of +-1 int8 signs."""
+    return present.view(np.int8) * signs + 1
 
 
 def lpp_encode_population(values: np.ndarray, budget: PrivacyBudget, rng) -> TernaryReports:
     g = ensure_generator(rng)
     key_index, sampled, present = _gather_sampled(values, g)
     placeholder = g.uniform(-1.0, 1.0, size=sampled.shape)
-    effective = np.where(present, sampled, placeholder)
-    v_star = discretize_array(effective, g)
+    v_star = _discretize_sampled(sampled, present, placeholder, g)
     v_prime = rr_sign_array(v_star, budget.epsilon_value, g)
     keep = g.random(sampled.shape) < flip_keep_probability(budget.epsilon_key)
-    emit_key = np.where(present, keep, ~keep)
-    states = np.where(emit_key, np.where(v_prime > 0, POS, NEG), ABSENT).astype(np.int8)
-    return TernaryReports(key_index, states, _digits(present, v_star))
+    return TernaryReports(key_index, _digits(present == keep, v_prime), _digits(present, v_star))
 
 
 def f2m_encode_population(values: np.ndarray, budget: PrivacyBudget, default_value: float, rng) -> F2MReports:
@@ -194,9 +209,8 @@ def f2m_encode_population(values: np.ndarray, budget: PrivacyBudget, default_val
         raise DomainError(f"default value must lie in [-1, 1], got {default_value!r}")
     g = ensure_generator(rng)
     key_index, sampled, present = _gather_sampled(values, g)
-    key_bits = rr_bit_array(present.astype(np.int8), budget.epsilon_key, g)
-    effective = np.where(present, sampled, default_value)
-    v_star = discretize_array(effective, g)
+    key_bits = rr_bit_array(present, budget.epsilon_key, g)
+    v_star = _discretize_sampled(sampled, present, default_value, g)
     signs = rr_sign_array(v_star, budget.epsilon_value, g)
     return F2MReports(key_index, key_bits, signs, _digits(present, v_star))
 
@@ -204,8 +218,7 @@ def f2m_encode_population(values: np.ndarray, budget: PrivacyBudget, default_val
 def kvue_encode_population(values: np.ndarray, epsilon: float, rng) -> TernaryReports:
     g = ensure_generator(rng)
     key_index, sampled, present = _gather_sampled(values, g)
-    v_star = discretize_array(np.where(present, sampled, 0.0), g)
-    true_states = _digits(present, v_star)
+    true_states = _digits(present, _discretize_sampled(sampled, present, 0.0, g))
     states = direct_encode_array(true_states, 3, epsilon, g).astype(np.int8)
     return TernaryReports(key_index, states, true_states)
 
@@ -213,13 +226,12 @@ def kvue_encode_population(values: np.ndarray, epsilon: float, rng) -> TernaryRe
 def kvoh_encode_population(values: np.ndarray, epsilon: float, rng) -> KVOHReports:
     g = ensure_generator(rng)
     key_index, sampled, present = _gather_sampled(values, g)
-    v_star = discretize_array(np.where(present, sampled, 0.0), g)
-    true_states = _digits(present, v_star)
+    true_states = _digits(present, _discretize_sampled(sampled, present, 0.0, g))
     p = flip_keep_probability(float(epsilon) / 2.0)
-    onehot = true_states[:, None] == np.arange(3, dtype=np.int8)[None, :]
+    onehot = _ONE_HOT.take(true_states, axis=0)
     u = g.random((sampled.shape[0], 3))
-    bits = np.where(onehot, u < p, u < 1.0 - p).astype(np.int8)
-    return KVOHReports(key_index, bits, true_states)
+    bits = (onehot & (u < p)) | (~onehot & (u < 1.0 - p))
+    return KVOHReports(key_index, bits.view(np.int8), true_states)
 
 
 # ---------------------------------------------------------------------------
@@ -227,30 +239,65 @@ def kvoh_encode_population(values: np.ndarray, epsilon: float, rng) -> KVOHRepor
 # ---------------------------------------------------------------------------
 
 
+def _checked_codes(codes, size: int, what: str) -> np.ndarray:
+    """codes as int64 after one min/max pass checking they lie in [0, size)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size:
+        low, high = codes.min(), codes.max()
+        if low < 0 or high >= size:
+            raise DomainError(f"{what} must lie in [0, {size}), found {low}..{high}")
+    return codes
+
+
+def _code_table(key_index: np.ndarray, codes: np.ndarray, d: int, size: int) -> np.ndarray:
+    """(d, size) report counts per (key, payload code), from one bincount."""
+    return np.bincount(key_index * size + codes, minlength=d * size).reshape(d, size)
+
+
+# Row c holds the three bits of kvoh payload code c, most significant first.
+_KVOH_BIT_OF_CODE = np.array(PAYLOADS[Mechanism.KVOH].values, dtype=np.int64)
+
+
+def _f2m_codes(key_bits, signs) -> np.ndarray:
+    """f2m payload codes 2 * key_bit + (sign > 0); a nonzero key bit counts as set."""
+    codes = np.asarray(key_bits, dtype=bool).view(np.int8) * 2
+    codes += np.asarray(signs) > 0
+    return codes
+
+
+def _kvoh_codes(bits) -> np.ndarray:
+    """kvoh payload codes, the three bits read most significant first; a positive bit counts as set."""
+    set_bits = (np.asarray(bits) > 0).view(np.int8)
+    return set_bits[:, 0] * 4 + set_bits[:, 1] * 2 + set_bits[:, 2]
+
+
+def _f2m_tally(table: np.ndarray):
+    # Codes 2 and 3 carry a set key bit, codes 1 and 3 a +1 sign.
+    totals = table.sum(axis=1)
+    pos = table[:, 1] + table[:, 3]
+    return table[:, 2] + table[:, 3], totals, pos, totals - pos
+
+
+def _kvoh_tally(table: np.ndarray):
+    return table @ _KVOH_BIT_OF_CODE, table.sum(axis=1)
+
+
 def tally_ternary(key_index: np.ndarray, states: np.ndarray, d: int) -> np.ndarray:
     """Per-key counts of the three states, shape (d, 3) indexed by state digit."""
-    flat = np.asarray(key_index, dtype=np.int64) * 3 + np.asarray(states, dtype=np.int64)
-    return np.bincount(flat, minlength=3 * d).reshape(d, 3)
+    key_index = _checked_codes(key_index, d, "key indices")
+    return _code_table(key_index, _checked_codes(states, 3, "state digits"), d, 3)
 
 
 def tally_f2m(key_index, key_bits, signs, d: int):
     """Per-key aggregates for f2m: (set key bits, report totals, +1 signs, -1 signs)."""
-    key_index = np.asarray(key_index, dtype=np.int64)
-    totals = np.bincount(key_index, minlength=d)
-    ones = np.bincount(key_index[np.asarray(key_bits, dtype=bool)], minlength=d)
-    pos = np.bincount(key_index[np.asarray(signs) > 0], minlength=d)
-    return ones, totals, pos, totals - pos
+    key_index = _checked_codes(key_index, d, "key indices")
+    return _f2m_tally(_code_table(key_index, _f2m_codes(key_bits, signs), d, 4))
 
 
 def tally_kvoh(key_index, bits, d: int):
     """Per-key bit-position sums, shape (d, 3), plus per-key report totals."""
-    key_index = np.asarray(key_index, dtype=np.int64)
-    bits = np.asarray(bits)
-    sums = np.stack(
-        [np.bincount(key_index[bits[:, position] > 0], minlength=d) for position in range(3)],
-        axis=1,
-    )
-    return sums, np.bincount(key_index, minlength=d)
+    key_index = _checked_codes(key_index, d, "key indices")
+    return _kvoh_tally(_code_table(key_index, _kvoh_codes(bits), d, 8))
 
 
 def _report_columns(reports: Sequence[Report], d: int):
@@ -281,9 +328,9 @@ def _bit_matrix(words: np.ndarray, width: int) -> np.ndarray:
 def wire_codes(encoded) -> np.ndarray:
     """Payload code (row of the mechanism's PAYLOADS table) of every report in a population encoding."""
     if isinstance(encoded, F2MReports):
-        return encoded.key_bits.astype(np.int64) * 2 + (encoded.signs > 0)
+        return _f2m_codes(encoded.key_bits, encoded.signs).astype(np.int64)
     if isinstance(encoded, KVOHReports):
-        return (encoded.bits.astype(np.int64) << np.array([2, 1, 0])).sum(axis=1)
+        return _kvoh_codes(encoded.bits).astype(np.int64)
     return encoded.states.astype(np.int64)
 
 
@@ -292,11 +339,12 @@ def tally_reports(reports: Sequence[Report], d: int):
     if not reports:
         raise DomainError("no reports to tally")
     mechanism, key_index, codes = _report_columns(reports, d)
-    if mechanism in (Mechanism.PRIVKV, Mechanism.KVUE):
-        return tally_ternary(key_index, codes, d)
+    table = _code_table(key_index, codes, d, len(PAYLOADS[mechanism].values))
     if mechanism is Mechanism.F2M:
-        return tally_f2m(key_index, codes >> 1, 2 * (codes & 1) - 1, d)
-    return tally_kvoh(key_index, _bit_matrix(codes, 3), d)
+        return _f2m_tally(table)
+    if mechanism is Mechanism.KVOH:
+        return _kvoh_tally(table)
+    return table
 
 
 # ---------------------------------------------------------------------------
