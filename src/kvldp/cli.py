@@ -30,6 +30,7 @@ from .harness import (
     _COND_TAG,
     ConfigError,
     ExperimentConfig,
+    check_mechanisms,
     default_value_study,
     default_value_spread_ratio,
     emit,
@@ -287,7 +288,9 @@ def _cmd_default_study(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    mechanisms = [Mechanism(m) for m in str(args.mechanisms).split(",")]
+    names = str(args.mechanisms).split(",")
+    check_mechanisms(names)
+    mechanisms = [Mechanism(m) for m in names]
     epsilons = _floats(args.epsilon, "epsilon")
     rows = []
     for mechanism in mechanisms:

@@ -32,6 +32,7 @@ from .core import (
     atomic_writer,
     ensure_generator,
     flip_keep_probability,
+    row_blocks,
 )
 
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
@@ -39,6 +40,9 @@ from .core import (
 IOH_DIMENSION_CAP = 12
 
 _MIN_CONDITIONING = 1e-12
+
+# Bits per row block of the peruser simulation (8 MB of uniforms).
+_PERUSER_BLOCK_ELEMENTS = 1 << 20
 
 
 def _check_dimension(d: int) -> int:
@@ -166,18 +170,24 @@ def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
 
     Key 0 is the most significant digit.  Each present value is discretized
     (one draw per cell, whether present or not) so its digit is 0 or 2;
-    an absent key contributes digit 1.
+    an absent key contributes digit 1.  Rows are indexed in blocks, so the
+    float temporaries stay block-sized while the draws are those of one
+    (n, d) draw.
     """
     n, d = values.shape
     d = _check_dimension(d)
     g = ensure_generator(rng)
-    u = g.random((n, d))
-    present = ~np.isnan(values)
-    # digit = key_bit * value_sign + 1; an absent value's NaN threshold compares false.
-    positive = u < (1.0 + values) / 2.0
-    digits = 1 + present * (positive.view(np.int8) * 2 - 1)
     powers = 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    return digits @ powers
+    index = np.empty(n, dtype=np.int64)
+    for rows in row_blocks(n, d):
+        block = values[rows]
+        u = g.random(block.shape)
+        present = ~np.isnan(block)
+        # digit = key_bit * value_sign + 1; an absent value's NaN threshold compares false.
+        positive = u < (1.0 + block) / 2.0
+        digits = 1 + present * (positive.view(np.int8) * 2 - 1)
+        index[rows] = digits @ powers
+    return index
 
 
 def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str = "column") -> IOHSample:
@@ -189,7 +199,9 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     perturbed bits are independent, so each column sum is distributed as
     Binomial(c_i, p) + Binomial(n - c_i, 1-p) with c_i the true count at
     position i; this samples from exactly the same law at O(3^d) cost and
-    is what makes d=8 experiments tractable.
+    is what makes d=8 experiments tractable.  The peruser reports are
+    drawn and summed in row blocks of at most 2^20 bits, so its memory
+    does not grow with n.
     """
     n, d = values.shape
     d = _check_dimension(d)
@@ -203,10 +215,14 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
         spurious = g.binomial(n - true_counts, 1.0 - keep)
         return IOHSample(kept + spurious, n, true_counts)
     if method == "peruser":
-        onehot = indices[:, None] == np.arange(size, dtype=np.int64)[None, :]
-        u = g.random((n, size))
-        bits = (onehot & (u < keep)) | (~onehot & (u < 1.0 - keep))
-        return IOHSample(bits.sum(axis=0), n, true_counts)
+        positions = np.arange(size, dtype=np.int64)
+        bit_sums = np.zeros(size, dtype=np.int64)
+        for rows in row_blocks(n, size, _PERUSER_BLOCK_ELEMENTS):
+            onehot = indices[rows, None] == positions[None, :]
+            u = g.random(onehot.shape)
+            bits = (onehot & (u < keep)) | (~onehot & (u < 1.0 - keep))
+            bit_sums += bits.sum(axis=0)
+        return IOHSample(bit_sums, n, true_counts)
     raise DomainError(f"unknown simulation method {method!r}")
 
 
@@ -215,19 +231,29 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
 # ---------------------------------------------------------------------------
 
 
-def _product_indices(digit_sets) -> np.ndarray:
-    """Base-3 indices of the Cartesian product of per-position digit sets, ascending."""
-    indices = np.zeros(1, dtype=np.int64)
-    for digits in digit_sets:
-        digits = np.asarray(sorted(digits), dtype=np.int64)
-        indices = (indices[:, None] * 3 + digits[None, :]).ravel()
-    return indices
+# A digit set's positions along one base-3 axis, as an ascending slice.
+_DIGIT_SLICES = {(0, 2): slice(0, 3, 2), (1,): slice(1, 2), (0, 1, 2): slice(0, 3),
+                 (0,): slice(0, 1), (2,): slice(2, 3)}
+
+
+def _product_values(values: np.ndarray, digit_sets) -> np.ndarray:
+    """values at the Cartesian product of per-position digit sets, in ascending index order.
+
+    The product is a strided view of values as a (3,) * d tensor.  It is
+    copied to a contiguous vector before any reduction: that vector holds
+    the same entries in the same order as a gather by ascending index, so
+    its sum is the same pairwise sum bit for bit, where a sum over the
+    strided view would run in another order.
+    """
+    view = values.reshape((3,) * len(digit_sets))[tuple(_DIGIT_SLICES[s] for s in digit_sets)]
+    return np.ascontiguousarray(view).ravel()
 
 
 def frequency_index_set(gamma) -> np.ndarray:
     """Positions matching an exact existence pattern: digit {0,2} where present, {1} where absent."""
     gamma = _check_bits(gamma, len(gamma), "gamma")
-    return _product_indices([(0, 2) if bit else (1,) for bit in gamma])
+    positions = np.arange(3 ** len(gamma), dtype=np.int64)
+    return _product_values(positions, [(0, 2) if bit else (1,) for bit in gamma])
 
 
 def mean_index_sets(k: int, gamma):
@@ -246,7 +272,8 @@ def mean_index_sets(k: int, gamma):
     minus_sets = list(plus_sets)
     plus_sets[k] = (2,)
     minus_sets[k] = (0,)
-    return _product_indices(plus_sets), _product_indices(minus_sets)
+    positions = np.arange(3 ** len(gamma), dtype=np.int64)
+    return _product_values(positions, plus_sets), _product_values(positions, minus_sets)
 
 
 def _condition_digit_sets(alpha, beta):
@@ -269,8 +296,7 @@ def frequency_count(agg: AggregateVector, alpha, beta) -> float:
     condition = Condition(tuple(alpha), tuple(beta))
     if condition.d != agg.d:
         raise DomainError(f"condition length {condition.d} does not match aggregate dimension {agg.d}")
-    indices = _product_indices(_condition_digit_sets(condition.alpha, condition.beta))
-    return float(agg.values[indices].sum())
+    return float(_product_values(agg.values, _condition_digit_sets(condition.alpha, condition.beta)).sum())
 
 
 def _signed_value_sum(agg: AggregateVector, k: int, condition: Condition) -> float:
@@ -278,8 +304,8 @@ def _signed_value_sum(agg: AggregateVector, k: int, condition: Condition) -> flo
     minus_sets = list(plus_sets)
     plus_sets[k] = (2,)
     minus_sets[k] = (0,)
-    plus = float(agg.values[_product_indices(plus_sets)].sum())
-    minus = float(agg.values[_product_indices(minus_sets)].sum())
+    plus = float(_product_values(agg.values, plus_sets).sum())
+    minus = float(_product_values(agg.values, minus_sets).sum())
     return plus - minus
 
 

@@ -76,6 +76,18 @@ class RandomSource:
         return RandomSource(self.seed, sid)
 
 
+def row_blocks(n: int, row_size: int, block_elements: int = 65536) -> list:
+    """Slices cutting n rows of row_size elements into consecutive blocks.
+
+    Each block holds at most block_elements elements (one row at least).
+    Drawing g.random(block_shape) block by block consumes the generator
+    exactly as one (n, row_size) draw does, so a blocked kernel keeps
+    every variate while its temporaries stay block-sized.
+    """
+    step = max(1, block_elements // max(1, row_size))
+    return [slice(first, first + step) for first in range(0, n, step)]
+
+
 def ensure_generator(rng) -> np.random.Generator:
     """Accept a RandomSource, a numpy Generator, or a bare integer seed."""
     if isinstance(rng, np.random.Generator):

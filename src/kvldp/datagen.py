@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapacityError, DomainError, RandomSource, atomic_writer
+from .core import CapacityError, DomainError, RandomSource, atomic_writer, row_blocks
 from .conditional import Condition
 
 FREQUENCY_REGIMES = {"extreme_low": 0.05, "low": 0.2, "middle": 0.6, "high": 0.8}
@@ -66,7 +66,12 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     mean_targets = np.asarray(mean_targets, dtype=np.float64)
     d = len(freq_targets)
     half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
-    present = rng.random((n, d)) < freq_targets[None, :]
+    # Presence is drawn in row blocks into one bool matrix: the draws are
+    # those of one (n, d) draw, without its n x d float temporary.
+    present = np.empty((n, d), dtype=bool)
+    for rows in row_blocks(n, d):
+        block = present[rows]
+        np.less(rng.random(block.shape), freq_targets, out=block)
     # Built in place: one transient n x d float buffer instead of four.
     # Whether four fitted the heap left by earlier work decided the
     # process's peak memory.  The arithmetic, and so every value, is
@@ -256,18 +261,18 @@ def true_conditional(ds: Dataset, k: int, cond: Condition):
         raise DomainError(f"target key {k} outside domain of size {ds.d}")
     if cond.alpha[k]:
         raise DomainError(f"target key {k} must not be constrained by the condition")
-    present = ~np.isnan(ds.values)
     matched = np.ones(ds.n, dtype=bool)
     for key, (a, b) in enumerate(zip(cond.alpha, cond.beta)):
         if a:
-            matched &= present[:, key] == bool(b)
+            matched &= np.isnan(ds.values[:, key]) != bool(b)
     n_matched = int(matched.sum())
     if n_matched == 0:
         return math.nan, math.nan
-    holders = matched & present[:, k]
+    column = ds.values[:, k]
+    holders = matched & ~np.isnan(column)
     n_holders = int(holders.sum())
     frequency = n_holders / n_matched
-    mean = float(ds.values[holders, k].mean()) if n_holders else math.nan
+    mean = float(column[holders].mean()) if n_holders else math.nan
     return frequency, mean
 
 
@@ -294,13 +299,12 @@ def save_dataset(ds: Dataset, path):
     """Write 'user_index,key_index,value' rows under a provenance header, atomically."""
     header = dict(ds.provenance)
     header.update({"n": ds.n, "d": ds.d})
-    step = max(1, _CHUNK_ROWS // max(1, ds.d))
     with atomic_writer(path) as handle:
         handle.write(_DATASET_MAGIC + json.dumps(header, sort_keys=True) + "\n")
-        for first in range(0, ds.n, step):
-            block = ds.values[first:first + step]
+        for rows in row_blocks(ds.n, ds.d, _CHUNK_ROWS):
+            block = ds.values[rows]
             users, keys = np.nonzero(~np.isnan(block))
-            handle.write(_format_rows(users + first, keys, block[users, keys]))
+            handle.write(_format_rows(users + rows.start, keys, block[users, keys]))
 
 
 def _read_header(path, text) -> dict:

@@ -76,6 +76,13 @@ def _check_workers(workers: int):
         raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
+def check_mechanisms(names):
+    """Raise ConfigError naming every entry of names that is not one of MECHANISMS."""
+    unknown = [m for m in names if m not in MECHANISMS]
+    if unknown:
+        raise ConfigError(f"unknown mechanisms {unknown}; choose from {list(MECHANISMS)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanisms: tuple = MECHANISMS
@@ -90,9 +97,7 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
-        unknown = [m for m in self.mechanisms if m not in MECHANISMS]
-        if unknown:
-            raise ConfigError(f"unknown mechanisms {unknown}; choose from {list(MECHANISMS)}")
+        check_mechanisms(self.mechanisms)
         if not self.epsilons or any(not (math.isfinite(e) and e > 0) for e in self.epsilons):
             raise ConfigError(f"epsilons must be positive finite reals, got {self.epsilons}")
         if self.repetitions < 1:

@@ -148,6 +148,13 @@ def test_exit_codes(tmp_path, capsys):
                  "--reps", "1", "--out", str(tmp_path / "y.csv")]) == 2
 
 
+def test_bounds_rejects_unknown_mechanism_as_config_error(capsys):
+    # Used to escape as a ValueError traceback from Mechanism("foo").
+    assert main(["bounds", "--mechanisms", "kvue,foo", "--epsilon", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "unknown mechanisms ['foo']" in err
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "kvldp.cli", "cost", "--d", "10"],

@@ -10,14 +10,29 @@ the same variates in the same order.
 The tie tests build values whose discretization threshold (1 + v) / 2
 equals the uniform drawn for them exactly, so a strict comparison turned
 non-strict changes the output.
+
+The last section keeps the forms that the row-blocked draws, the strided
+query sums and the column-only oracle replaced: one-shot (n, d) draws, a
+gather by ascending product index, and an oracle over the whole presence
+matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kvldp.conditional import ioh_index_population, simulate_ioh_bit_sums
+from kvldp.conditional import (
+    _PERUSER_BLOCK_ELEMENTS,
+    AggregateVector,
+    Condition,
+    _product_values,
+    _signed_value_sum,
+    frequency_count,
+    ioh_index_population,
+    simulate_ioh_bit_sums,
+)
 from kvldp.core import (
     DomainError,
     PrivacyBudget,
@@ -25,9 +40,11 @@ from kvldp.core import (
     direct_encode_array,
     discretize_array,
     flip_keep_probability,
+    row_blocks,
     rr_bit_array,
     rr_sign_array,
 )
+from kvldp.datagen import Dataset, _materialize, true_conditional
 from kvldp.mechanisms import (
     ABSENT,
     NEG,
@@ -510,3 +527,164 @@ def test_tallies_reject_negative_key(tally):
     for keys in ([-1], [2, -3, 4]):
         with pytest.raises(DomainError):
             TALLIES[tally](keys)
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked draws, strided query sums and the column-only oracle
+# ---------------------------------------------------------------------------
+
+
+def _ref_product_indices(digit_sets):
+    indices = np.zeros(1, dtype=np.int64)
+    for digits in digit_sets:
+        digits = np.asarray(sorted(digits), dtype=np.int64)
+        indices = (indices[:, None] * 3 + digits[None, :]).ravel()
+    return indices
+
+
+def _ref_true_conditional(ds, k, cond):
+    present = ~np.isnan(ds.values)
+    matched = np.ones(ds.n, dtype=bool)
+    for key, (a, b) in enumerate(zip(cond.alpha, cond.beta)):
+        if a:
+            matched &= present[:, key] == bool(b)
+    n_matched = int(matched.sum())
+    if n_matched == 0:
+        return math.nan, math.nan
+    holders = matched & present[:, k]
+    n_holders = int(holders.sum())
+    mean = float(ds.values[holders, k].mean()) if n_holders else math.nan
+    return n_holders / n_matched, mean
+
+
+def _ref_materialize(freq_targets, mean_targets, n, rng, value_spread):
+    half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
+    present = rng.random((n, len(freq_targets))) < freq_targets[None, :]
+    jitter = rng.uniform(-1.0, 1.0, size=present.shape) * half_width[None, :]
+    return np.where(present, mean_targets[None, :] + jitter, np.nan)
+
+
+DIGIT_SETS = [(0, 2), (1,), (0, 1, 2), (0,), (2,)]
+
+
+def _aggregate(d, seed):
+    """Calibrated-looking values over 16 decades, so any change of summation order shows."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(3 ** d) * 10.0 ** rng.uniform(-8, 8, 3 ** d)
+    return AggregateVector(values, 1000, d, 1.0)
+
+
+def _digit_products(d, seed, count):
+    rng = np.random.default_rng(seed)
+    products = [[(0, 1, 2)] * d, [(0,)] * d, [(2,)] * d, [(1,)] * d, [(0, 2)] * d]
+    products += [[DIGIT_SETS[i] for i in rng.integers(0, len(DIGIT_SETS), d)] for _ in range(count)]
+    return products
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_product_sums_match_the_index_gather(d):
+    agg = _aggregate(d, d)
+    for sets in _digit_products(d, d + 1, 30):
+        got = _product_values(agg.values, sets)
+        want = agg.values[_ref_product_indices(sets)]
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(got.sum()).tobytes() == np.float64(want.sum()).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_frequency_and_signed_sums_match_the_index_gather(d):
+    agg = _aggregate(d, d + 2)
+    rng = np.random.default_rng(d + 3)
+    for _ in range(20):
+        alpha = rng.integers(0, 2, d)
+        beta = alpha * rng.integers(0, 2, d)
+        sets = [((0, 2) if b else (1,)) if a else (0, 1, 2) for a, b in zip(alpha, beta)]
+        want = float(agg.values[_ref_product_indices(sets)].sum())
+        assert repr(frequency_count(agg, alpha, beta)) == repr(want)
+        free = np.flatnonzero(alpha == 0)
+        if free.size:
+            k = int(free[0])
+            augmented = Condition(tuple(alpha), tuple(beta)).augmented(k)
+            sets[k] = (2,)
+            plus = float(agg.values[_ref_product_indices(sets)].sum())
+            sets[k] = (0,)
+            minus = float(agg.values[_ref_product_indices(sets)].sum())
+            assert repr(_signed_value_sum(agg, k, augmented)) == repr(plus - minus)
+
+
+def _block_sizes(row_size, block_elements=65536):
+    """n below one block, exactly two blocks, and one row past a block."""
+    rows = max(1, block_elements // row_size)
+    return [max(1, rows // 3), 2 * rows, rows + 1]
+
+
+@pytest.mark.parametrize("d", [1, 12])
+def test_blocked_index_matches_the_one_shot_draw(d):
+    for n in _block_sizes(d):
+        values = _matrix(n, d, 70 + n)
+        g, ref = _generators(71)
+        _assert_identical(ioh_index_population(values, g), _ref_ioh_index(values, ref), g, ref)
+
+
+def test_row_blocks_cover_every_row_once():
+    for n, row_size, block in [(1, 12, 64), (10, 3, 9), (12, 3, 9), (13, 3, 9), (5, 100, 9), (0, 4, 8)]:
+        blocks = row_blocks(n, row_size, block)
+        assert np.arange(n).tolist() == [i for rows in blocks for i in range(n)[rows]]
+        assert all(len(range(n)[rows]) * row_size <= max(block, row_size) for rows in blocks)
+
+
+def test_blocked_peruser_simulation_matches_reference_across_blocks():
+    d = 8
+    for n in _block_sizes(3 ** d, _PERUSER_BLOCK_ELEMENTS)[1:]:
+        values = _matrix(n, d, 80 + n)
+        g, ref = _generators(81)
+        sample = simulate_ioh_bit_sums(values, 1.0, g, method="peruser")
+        _assert_identical(sample.bit_sums, _ref_peruser_bit_sums(values, 1.0, ref), g, ref)
+
+
+def test_peruser_simulation_memory_is_bounded_by_its_block():
+    # One-shot, 1000 users at d=8 need 52 MB of uniforms alone; a block is
+    # 8 MB, and a block's uniforms live until the next block's replace them.
+    d, n = 8, 1000
+    values = _matrix(n, d, 90)
+    block_bytes = 8 * _PERUSER_BLOCK_ELEMENTS
+    assert 8 * n * 3 ** d > 6 * block_bytes
+    tracemalloc.start()
+    try:
+        simulate_ioh_bit_sums(values, 1.0, RandomSource(91).generator(), method="peruser")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block_bytes
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (500, 2), (3000, 5), (2000, 12)])
+def test_true_conditional_matches_the_full_matrix_form(shape):
+    n, d = shape
+    ds = Dataset(_matrix(n, d, 100 + d))
+    rng = np.random.default_rng(101 + d)
+    # The empty condition, then "the last key held" (no user holds it), then random ones.
+    conditions = [Condition.empty(d), Condition.parse(f"k{d}=1", d)]
+    for _ in range(20):
+        alpha = rng.integers(0, 2, d)
+        conditions.append(Condition(tuple(alpha), tuple(alpha * rng.integers(0, 2, d))))
+    answered = 0
+    for cond in conditions:
+        for k in range(d):
+            if cond.alpha[k]:
+                continue
+            got = np.array(true_conditional(ds, k, cond))
+            assert got.tobytes() == np.array(_ref_true_conditional(ds, k, cond)).tobytes()
+            answered += not np.isnan(got).any()
+    assert np.isnan(true_conditional(ds, 0, conditions[1])).all()
+    assert answered
+
+
+@pytest.mark.parametrize("d", [1, 12])
+def test_blocked_presence_matches_the_one_shot_draw(d):
+    freq = np.linspace(0.1, 0.9, d)
+    mean = np.linspace(-0.9, 0.9, d)
+    for n in _block_sizes(d):
+        g, ref = _generators(120 + n)
+        got = _materialize(freq, mean, n, g, 0.1)
+        _assert_identical(got, _ref_materialize(freq, mean, n, ref, 0.1), g, ref)
