@@ -3,7 +3,8 @@
 The table below holds the sha256 of each output of a small end-to-end
 session: two generated datasets, a sweep with its summary, per-key rows
 and the five wire traces, the packed bytes of every trace at three key
-domains, and a conditional run with its saved aggregate.  A refactor must
+domains, a conditional run with its saved aggregate, and a default-value
+study with its summary.  A refactor must
 leave every hash where it is.  A change that moves bytes on purpose
 regenerates only the affected entries (run this file as a script to print
 the current table) and says why.
@@ -53,6 +54,8 @@ GOLDEN = {
     "run.csv": "3ad7c485b626a309b9643204944ee4fb384eeafb74c92841e2126292d267c271",
     "run.perkey.csv": "a7f38c88dae6ae88c0b2d177181915d8419a20545dcd6f9b737fc68eb743609e",
     "run.summary.csv": "2ac4d3bdf5be3e8b3356287b678524900c549e9c33cc0968c75babebe3280453",
+    "study.csv": "62e712ad165d6f83d5aebf11110f4928b3e99818c7f2a83345d9c404f4021f97",
+    "study.summary.csv": "0910b10151d078f75e588e4f28d096856eb211b9b6515fc76573af1560435308",
     "traces/f2m.txt": "9b8a9c4976304e1b3b5525e219740f28095aa954d47f38093404d5f3b59221e0",
     "traces/kvoh.txt": "70d4b7433428c5129e140ecda5b10058d123dbe530370fcda4ec0955b5d1aca1",
     "traces/kvue.txt": "ed89919ec2e4a5b0426f5b411080f81eb7932ba9f69297c958659437590fec41",
@@ -86,8 +89,10 @@ def golden_outputs(workdir) -> dict:
           "--per-key", "--trace", path("traces"), "--out", path("run.csv")])
     _cli(["conditional", "--dims", "2,3", "--epsilon", "1,4", "--reps", 2, "--n", N, "--seed", SEED,
           "--out", path("conditional.csv"), "--agg-out", path("aggregate.txt")])
+    _cli(["default-study", "--dataset", path("regime.csv"), "--vbar=-1,0,1", "--epsilon", "0.5,1",
+          "--reps", 2, "--seed", SEED, "--out", path("study.csv")])
     names = ["gaussian.csv", "regime.csv", "run.csv", "run.summary.csv", "run.perkey.csv",
-             "conditional.csv", "aggregate.txt"] + [f"traces/{name}.txt" for name in TRACES]
+             "conditional.csv", "aggregate.txt", "study.csv", "study.summary.csv"] + [f"traces/{name}.txt" for name in TRACES]
     hashes = {name: _sha256(_read(path(name))) for name in names}
     for name in TRACES:
         with open(path(f"traces/{name}.txt")) as handle:
