@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .conditional import Condition, aggregate_from_bit_sums, save_aggregate, simulate_ioh_bit_sums
+from .conditional import Condition, save_aggregate
 from .core import DomainError, RandomSource
 from .datagen import (
     FREQUENCY_REGIMES,
@@ -27,13 +27,13 @@ from .harness import (
     DEFAULT_EPSILON_GRID,
     DEFAULT_VBAR_GRID,
     MECHANISMS,
-    _COND_TAG,
     ConfigError,
     ExperimentConfig,
     check_mechanisms,
     default_value_study,
     default_value_spread_ratio,
     emit,
+    first_conditional_aggregate,
     rows_to_dicts,
     run_conditional,
     run_sweep,
@@ -121,6 +121,11 @@ def _sibling_path(out: str, label: str) -> str:
     return f"{base}.{label}{ext}"
 
 
+def _print_failures(failures):
+    for failure in failures:
+        print(f"cell-failure: {failure}", file=sys.stderr)
+
+
 def _print_table(rows):
     columns = list(rows[0].keys())
     widths = {c: max(len(c), *(len(_cell(r[c])) for r in rows)) for c in columns}
@@ -203,8 +208,7 @@ def _cmd_run(args) -> int:
             rng = RandomSource(seed).substream(_TRACE_TAG, mi).generator()
             write_trace(os.path.join(args.trace, f"{mechanism}.txt"), mechanism, ds,
                         config.epsilons[0], rng, config.default_value)
-    for failure in result.failures:
-        print(f"cell-failure: {failure}", file=sys.stderr)
+    _print_failures(result.failures)
     for message in soft_checks(summary):
         print(f"soft-check: {message}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {out}")
@@ -248,12 +252,9 @@ def _cmd_conditional(args) -> int:
         rows = run_conditional(ds, epsilons, reps, seed, queries=queries, method=method,
                                workers=_int(_resolve(args, file_config, "workers", 1), "workers"))
         all_rows.extend(rows)
+        _print_failures({"d": ds.d, **failure} for failure in rows.failures)
         if args.agg_out and di == 0:
-            # run_conditional's stream for (epsilon 0, repetition 0): the aggregate behind the first rows.
-            rng = RandomSource(seed).substream(_COND_TAG, 0, 0).generator()
-            sample = simulate_ioh_bit_sums(ds.values, epsilons[0], rng, method=method)
-            agg = aggregate_from_bit_sums(sample.bit_sums, sample.n_users, ds.d, epsilons[0])
-            save_aggregate(agg, args.agg_out, seed=seed)
+            save_aggregate(first_conditional_aggregate(ds, epsilons[0], seed, method), args.agg_out, seed=seed)
     emit(all_rows, fmt, out, config={"dims": list(dims), "epsilons": list(epsilons),
                                      "repetitions": reps, "seed": seed, "n": n, "method": method})
     print(f"wrote {len(all_rows)} rows to {out}")
@@ -277,11 +278,12 @@ def _cmd_default_study(args) -> int:
         raise ConfigError("--out is required for default-study")
     fmt = str(_resolve(args, file_config, "format", "csv"))
     workers = _int(_resolve(args, file_config, "workers", 1), "workers")
-    detail, summary = default_value_study(ds, vbars, epsilons, reps, seed, workers=workers)
+    detail, summary, failures = default_value_study(ds, vbars, epsilons, reps, seed, workers=workers)
     header = {"vbars": list(vbars), "epsilons": list(epsilons), "repetitions": reps,
               "seed": seed, "dataset": ds.provenance}
     emit(detail, fmt, out, config=header)
     emit(summary, fmt, _sibling_path(out, "summary"), config=header)
+    _print_failures(failures)
     for epsilon, ratio in sorted(default_value_spread_ratio(summary).items()):
         print(f"eps={epsilon:g}: mean-AE max/min across default values = {ratio:.3f}")
     return 0

@@ -222,6 +222,7 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
             u = g.random(onehot.shape)
             bits = (onehot & (u < keep)) | (~onehot & (u < 1.0 - keep))
             bit_sums += bits.sum(axis=0)
+            del onehot, u, bits  # freed before the next block draws its uniforms
         return IOHSample(bit_sums, n, true_counts)
     raise DomainError(f"unknown simulation method {method!r}")
 

@@ -1,10 +1,13 @@
 """Experiment runner: budget sweeps, repetitions, error metrics, and output.
 
-A sweep is a grid of (mechanism, epsilon, repetition) cells over one
-dataset.  Every cell derives its own random stream from the master seed
-and the cell coordinates, so results are identical no matter how many
-workers the grid is spread over, and output files are byte-for-byte
-reproducible.
+Every experiment is a grid of cells over one dataset, run by one grid
+runner: the sweep over (mechanism, epsilon, repetition), the conditional
+experiment over (epsilon, repetition) and the f2m default-value study
+over (epsilon, default value, repetition).  Every cell derives its own
+random stream from the master seed and the cell coordinates, so results
+are identical no matter how many workers the grid is spread over, and
+output files are byte-for-byte reproducible.  A cell that raises is
+recorded as a failure and the rest of the grid still runs.
 
 Errors are reported as AE (absolute error, averaged over keys) and MSE
 against the exact ground truth of the dataset; mean estimates that come
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -71,9 +75,16 @@ class ConfigError(ValueError):
     """An experiment configuration is inconsistent or incomplete."""
 
 
-def _check_workers(workers: int):
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+def _check_grid(epsilons, repetitions, workers) -> tuple:
+    """Check the settings every experiment shares; returns the epsilons as floats."""
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons or any(not (math.isfinite(e) and e > 0) for e in epsilons):
+        raise ConfigError(f"epsilons must be positive finite reals, got {epsilons}")
+    if not isinstance(repetitions, (int, np.integer)) or repetitions < 1:
+        raise ConfigError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
+    return epsilons
 
 
 def check_mechanisms(names):
@@ -94,17 +105,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
         check_mechanisms(self.mechanisms)
-        if not self.epsilons or any(not (math.isfinite(e) and e > 0) for e in self.epsilons):
-            raise ConfigError(f"epsilons must be positive finite reals, got {self.epsilons}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be at least 1, got {self.repetitions}")
+        object.__setattr__(self, "epsilons", _check_grid(self.epsilons, self.repetitions, self.workers))
         if not -1.0 <= self.default_value <= 1.0:
             raise ConfigError(f"default value must lie in [-1, 1], got {self.default_value}")
-        _check_workers(self.workers)
 
     def as_dict(self) -> dict:
         # workers is an execution detail with no effect on results, so it is
@@ -229,108 +235,101 @@ def run_single(ds: Dataset, mechanism: str, epsilon: float, rng, repetition: int
     return SingleRun(frequency, mean, defined, row)
 
 
-def _run_tasks(tasks, work, workers):
+def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
+    """Run work(rng, *labels) on every cell of a grid; returns (results, failures).
+
+    axes maps each axis name to its labels, outermost axis first, and the
+    cells run in row-major order.  A cell draws from the substream
+    (tag, *cell indices) of the master seed, never from a shared stream,
+    so results do not depend on the number of workers.  results holds what
+    the cells that completed returned, in grid order; failures holds one
+    dict per cell that raised: its axis labels plus "error".
+    """
+    root = RandomSource(seed)
+    cells = itertools.product(*(range(len(labels)) for labels in axes.values()))
+
+    def attempt(cell):
+        labels = [axis[i] for axis, i in zip(axes.values(), cell)]
+        try:
+            return labels, work(root.substream(tag, *cell).generator(), *labels)
+        except Exception as exc:  # recorded per cell, the grid continues
+            return labels, exc
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, tasks))
-    return [work(task) for task in tasks]
+            outcomes = list(pool.map(attempt, cells))
+    else:
+        outcomes = list(map(attempt, cells))
+    failures = [{**dict(zip(axes, labels)), "error": f"{type(outcome).__name__}: {outcome}"}
+                for labels, outcome in outcomes if isinstance(outcome, Exception)]
+    return [outcome for _, outcome in outcomes if not isinstance(outcome, Exception)], failures
 
 
 def run_sweep(config: ExperimentConfig, ds: Dataset, per_key: bool = False) -> SweepResult:
     """Run the mechanisms x epsilons x repetitions grid over one dataset.
 
-    Cell order in the result is deterministic (mechanism, epsilon,
-    repetition); the per-cell random stream depends only on the master
-    seed and the cell coordinates, never on scheduling.  A cell that
+    Rows come in grid order (mechanism, epsilon, repetition).  A cell that
     raises is recorded in failures and the rest of the grid still runs.
     """
     truth = true_stats(ds)
-    root = RandomSource(config.seed)
-    tasks = [
-        (mi, ei, rep)
-        for mi in range(len(config.mechanisms))
-        for ei in range(len(config.epsilons))
-        for rep in range(config.repetitions)
+
+    def work(rng, mechanism, epsilon, rep):
+        return run_single(ds, mechanism, epsilon, rng, repetition=rep,
+                          default_value=config.default_value, truth=truth)
+
+    axes = {"mechanism": config.mechanisms, "epsilon": config.epsilons,
+            "repetition": range(config.repetitions)}
+    runs, failures = _run_grid(_SWEEP_TAG, config.seed, axes, work, config.workers)
+    per_key_rows = [
+        {"mechanism": run.row.mechanism, "epsilon": run.row.epsilon, "repetition": run.row.repetition,
+         "key": key, "freq_est": float(run.frequency[key]), "freq_true": float(truth.frequency[key]),
+         "mean_est": float(run.mean[key]), "mean_true": float(truth.mean[key])}
+        for run in (runs if per_key else ()) for key in range(ds.d)
     ]
-
-    def work(task):
-        mi, ei, rep = task
-        rng = root.substream(_SWEEP_TAG, mi, ei, rep).generator()
-        try:
-            result = run_single(ds, config.mechanisms[mi], config.epsilons[ei], rng,
-                                repetition=rep, default_value=config.default_value, truth=truth)
-        except Exception as exc:  # recorded per cell, sweep continues
-            return task, exc
-        return task, result
-
-    outcome = dict(_run_tasks(tasks, work, config.workers))
-    rows = []
-    per_key_rows = []
-    failures = []
-    for task in tasks:
-        result = outcome[task]
-        if isinstance(result, Exception):
-            mi, ei, rep = task
-            failures.append({
-                "mechanism": config.mechanisms[mi],
-                "epsilon": config.epsilons[ei],
-                "repetition": rep,
-                "error": f"{type(result).__name__}: {result}",
-            })
-            continue
-        rows.append(result.row)
-        if per_key:
-            for key in range(ds.d):
-                per_key_rows.append({
-                    "mechanism": result.row.mechanism,
-                    "epsilon": result.row.epsilon,
-                    "repetition": result.row.repetition,
-                    "key": key,
-                    "freq_est": float(result.frequency[key]),
-                    "freq_true": float(truth.frequency[key]),
-                    "mean_est": float(result.mean[key]),
-                    "mean_true": float(truth.mean[key]),
-                })
-    return SweepResult(rows, per_key_rows, failures)
+    return SweepResult([run.row for run in runs], per_key_rows, failures)
 
 
-def _quartiles(samples):
+_BOX_STATISTICS = ("min", "q1", "median", "q3", "max", "mean")
+
+
+def _box_statistics(name: str, samples) -> dict:
+    """{name_min, name_q1, name_median, name_q3, name_max, name_mean} of samples, NaNs dropped."""
     samples = np.asarray(samples, dtype=np.float64)
     valid = samples[~np.isnan(samples)]
     if valid.size == 0:
-        return [math.nan] * 5 + [math.nan]
-    q = np.percentile(valid, [0, 25, 50, 75, 100])
-    return [float(x) for x in q] + [float(valid.mean())]
+        values = [math.nan] * len(_BOX_STATISTICS)
+    else:
+        values = np.percentile(valid, [0, 25, 50, 75, 100]).tolist() + [float(valid.mean())]
+    return {f"{name}_{statistic}": value for statistic, value in zip(_BOX_STATISTICS, values)}
+
+
+def _box_summary(rows, keys, box=(), means=(), sums=()) -> list:
+    """One summary row per distinct value of the keys columns, in order of first appearance.
+
+    A summary row holds the keys, the group size as "repetitions", the box
+    statistics of every box column, the NaN-free mean of every means
+    column (as column_mean) and the sum of every sums column.
+    """
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[key] for key in keys), []).append(row)
+    summary = []
+    for values, group in groups.items():
+        cell = dict(zip(keys, values), repetitions=len(group))
+        for column in box:
+            cell.update(_box_statistics(column, [r[column] for r in group]))
+        for column in means:
+            cell[f"{column}_mean"] = _box_statistics(column, [r[column] for r in group])[f"{column}_mean"]
+        for column in sums:
+            cell[column] = sum(r[column] for r in group)
+        summary.append(cell)
+    return summary
 
 
 def summarize(rows) -> list:
     """Box-plot statistics per (mechanism, epsilon) cell over repetitions."""
-    cells = {}
-    order = []
-    for row in rows:
-        cell = (row.mechanism, row.epsilon)
-        if cell not in cells:
-            cells[cell] = []
-            order.append(cell)
-        cells[cell].append(row)
-    summary = []
-    for mechanism, epsilon in order:
-        group = cells[(mechanism, epsilon)]
-        f_min, f_q1, f_med, f_q3, f_max, f_mean = _quartiles([r.freq_ae for r in group])
-        m_min, m_q1, m_med, m_q3, m_max, m_mean = _quartiles([r.mean_ae for r in group])
-        summary.append({
-            "mechanism": mechanism,
-            "epsilon": epsilon,
-            "repetitions": len(group),
-            "freq_ae_min": f_min, "freq_ae_q1": f_q1, "freq_ae_median": f_med,
-            "freq_ae_q3": f_q3, "freq_ae_max": f_max, "freq_ae_mean": f_mean,
-            "mean_ae_min": m_min, "mean_ae_q1": m_q1, "mean_ae_median": m_med,
-            "mean_ae_q3": m_q3, "mean_ae_max": m_max, "mean_ae_mean": m_mean,
-            "freq_mse_mean": _quartiles([r.freq_mse for r in group])[5],
-            "mean_mse_mean": _quartiles([r.mean_mse for r in group])[5],
-            "undefined_means": sum(r.undefined_means for r in group),
-        })
-    return summary
+    return _box_summary(rows_to_dicts(rows), ("mechanism", "epsilon"), box=("freq_ae", "mean_ae"),
+                        means=("freq_mse", "mean_mse"), sums=("undefined_means",))
 
 
 def soft_checks(summary) -> list:
@@ -387,57 +386,63 @@ def default_conditional_queries(d: int) -> list:
     return [(0, Condition.parse("k2=1", d))]
 
 
+class ConditionalRows(list):
+    """run_conditional's row dicts in grid order; .failures lists the cells that raised."""
+
+    def __init__(self, rows, failures):
+        super().__init__(rows)
+        self.failures = failures
+
+
+def _calibrated_aggregate(ds: Dataset, epsilon: float, rng, method: str):
+    sample = simulate_ioh_bit_sums(ds.values, epsilon, rng, method=method)
+    return aggregate_from_bit_sums(sample.bit_sums, sample.n_users, ds.d, epsilon)
+
+
+def first_conditional_aggregate(ds: Dataset, epsilon: float, seed: int, method: str = "column"):
+    """The calibrated aggregate behind run_conditional's first rows.
+
+    It is the cell (epsilons[0], repetition 0) of run_conditional(ds,
+    epsilons, ..., seed, method=method), drawn from the same substream.
+    """
+    rng = RandomSource(seed).substream(_COND_TAG, 0, 0).generator()
+    return _calibrated_aggregate(ds, float(epsilon), rng, method)
+
+
 def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=None,
-                    method: str = "column", workers: int = 1) -> list:
+                    method: str = "column", workers: int = 1) -> ConditionalRows:
     """Compare the private conditional pipeline against the exact oracle.
 
     Per (epsilon, repetition): encode the full population with the
     full-record one-hot mechanism, calibrate, and answer every query;
-    rows carry both the private estimates and the oracle values.
+    rows carry both the private estimates and the oracle values.  A cell
+    that raises leaves no rows and is recorded in the result's failures.
     """
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons or any(e <= 0 for e in epsilons):
-        raise ConfigError(f"epsilons must be positive, got {epsilons}")
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
-    _check_workers(workers)
+    epsilons = _check_grid(epsilons, repetitions, workers)
+    if method not in ("column", "peruser"):
+        raise ConfigError(f"unknown simulation method {method!r}; choose column or peruser")
     queries = queries if queries is not None else default_conditional_queries(ds.d)
     oracle = [true_conditional(ds, k, cond) for k, cond in queries]
-    root = RandomSource(seed)
-    tasks = [(ei, rep) for ei in range(len(epsilons)) for rep in range(repetitions)]
 
-    def work(task):
-        ei, rep = task
-        rng = root.substream(_COND_TAG, ei, rep).generator()
-        sample = simulate_ioh_bit_sums(ds.values, epsilons[ei], rng, method=method)
-        agg = aggregate_from_bit_sums(sample.bit_sums, sample.n_users, ds.d, epsilons[ei])
+    def work(rng, epsilon, rep):
+        agg = _calibrated_aggregate(ds, epsilon, rng, method)
         cell_rows = []
-        for qi, (k, cond) in enumerate(queries):
+        for (k, cond), (true_freq, true_mean) in zip(queries, oracle):
             est_freq = conditional_frequency(agg, k, cond)
             est_mean = conditional_mean(agg, k, cond)
-            true_freq, true_mean = oracle[qi]
             cell_rows.append({
-                "d": ds.d,
-                "epsilon": epsilons[ei],
-                "repetition": rep,
-                "target": f"k{k + 1}",
-                "condition": condition_text(cond),
-                "freq_est": est_freq,
-                "freq_true": true_freq,
-                "freq_ae": abs(est_freq - true_freq),
-                "mean_est": est_mean,
-                "mean_true": true_mean,
-                "mean_ae": abs(est_mean - true_mean),
+                "d": ds.d, "epsilon": epsilon, "repetition": rep,
+                "target": f"k{k + 1}", "condition": condition_text(cond),
+                "freq_est": est_freq, "freq_true": true_freq, "freq_ae": abs(est_freq - true_freq),
+                "mean_est": est_mean, "mean_true": true_mean, "mean_ae": abs(est_mean - true_mean),
             })
-        return task, cell_rows
+        return cell_rows
 
-    outcome = dict(_run_tasks(tasks, work, workers))
-    rows = []
-    for task in tasks:
-        rows.extend(outcome[task])
-    return rows
+    axes = {"epsilon": epsilons, "repetition": range(repetitions)}
+    cells, failures = _run_grid(_COND_TAG, seed, axes, work, workers)
+    return ConditionalRows([row for cell_rows in cells for row in cell_rows], failures)
 
 
 # ---------------------------------------------------------------------------
@@ -445,53 +450,36 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
 # ---------------------------------------------------------------------------
 
 
+class StudyResult(NamedTuple):
+    detail: list
+    summary: list
+    failures: list
+
+
 def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0),
-                        repetitions: int = 50, seed: int = 0, workers: int = 1):
+                        repetitions: int = 50, seed: int = 0, workers: int = 1) -> StudyResult:
     """Sweep the f2m default value over a grid at fixed budgets.
 
-    Returns (detail_rows, summary_rows); the summary aggregates mean AE per
-    (epsilon, default value) so the spread across default values can be
-    compared directly.
+    The detail rows are f2m metric rows plus their default value; the
+    summary aggregates mean AE per (epsilon, default value) so the spread
+    across default values can be compared directly.  A cell that raises
+    is recorded in failures and the rest of the grid still runs.
     """
+    epsilons = _check_grid(epsilons, repetitions, workers)
     vbars = [float(v) for v in vbars]
-    if any(not -1.0 <= v <= 1.0 for v in vbars):
+    if not vbars or any(not -1.0 <= v <= 1.0 for v in vbars):
         raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
-    _check_workers(workers)
     truth = true_stats(ds)
-    root = RandomSource(seed)
-    tasks = [
-        (ei, vi, rep)
-        for ei in range(len(epsilons))
-        for vi in range(len(vbars))
-        for rep in range(repetitions)
-    ]
 
-    def work(task):
-        ei, vi, rep = task
-        rng = root.substream(_STUDY_TAG, ei, vi, rep).generator()
-        result = run_single(ds, "f2m", epsilons[ei], rng, repetition=rep,
-                            default_value=vbars[vi], truth=truth)
-        return task, result.row
+    def work(rng, epsilon, vbar, rep):
+        row = run_single(ds, "f2m", epsilon, rng, repetition=rep, default_value=vbar, truth=truth).row.as_dict()
+        row["vbar"] = vbar
+        return row
 
-    outcome = dict(_run_tasks(tasks, work, workers))
-    detail = []
-    for task in tasks:
-        ei, vi, rep = task
-        row = outcome[task].as_dict()
-        row["vbar"] = vbars[vi]
-        detail.append(row)
-    summary = []
-    for ei, epsilon in enumerate(epsilons):
-        for vi, vbar in enumerate(vbars):
-            group = [outcome[(ei, vi, rep)] for rep in range(repetitions)]
-            m_min, m_q1, m_med, m_q3, m_max, m_mean = _quartiles([r.mean_ae for r in group])
-            summary.append({
-                "epsilon": float(epsilon), "vbar": vbar, "repetitions": repetitions,
-                "mean_ae_min": m_min, "mean_ae_q1": m_q1, "mean_ae_median": m_med,
-                "mean_ae_q3": m_q3, "mean_ae_max": m_max, "mean_ae_mean": m_mean,
-                "freq_ae_mean": _quartiles([r.freq_ae for r in group])[5],
-            })
-    return detail, summary
+    axes = {"epsilon": epsilons, "vbar": vbars, "repetition": range(repetitions)}
+    detail, failures = _run_grid(_STUDY_TAG, seed, axes, work, workers)
+    summary = _box_summary(detail, ("epsilon", "vbar"), box=("mean_ae",), means=("freq_ae",))
+    return StudyResult(detail, summary, failures)
 
 
 def default_value_spread_ratio(summary) -> dict:

@@ -315,8 +315,8 @@ def test_criterion_6_protocol_sweep(tmp_path):
 def test_criterion_7_default_value_insensitivity():
     start = time.perf_counter()
     ds = gen_synthetic("gaussian", d=100, n=100000, seed=15)
-    _, summary = default_value_study(ds, vbars=(-1.0, -0.5, 0.0, 0.5, 1.0),
-                                     epsilons=(0.5, 1.0), repetitions=50, seed=99, workers=4)
+    summary = default_value_study(ds, vbars=(-1.0, -0.5, 0.0, 0.5, 1.0),
+                                  epsilons=(0.5, 1.0), repetitions=50, seed=99, workers=4).summary
     ratios = default_value_spread_ratio(summary)
     for epsilon, ratio in ratios.items():
         assert ratio <= 1.5, f"eps={epsilon}: spread ratio {ratio:.3f}"

@@ -118,6 +118,41 @@ def test_default_study_command(tmp_path, capsys):
     assert "max/min across default values" in capsys.readouterr().out
 
 
+def _cell_failures(err: str) -> list:
+    return [line for line in err.splitlines() if line.startswith("cell-failure: ")]
+
+
+def test_conditional_reports_failed_cells_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "cond.csv"
+    assert main(["conditional", "--dims", "3", "--epsilon", "1e-20,1", "--reps", "2", "--n", "1000",
+                 "--out", str(out)]) == 0
+    failures = _cell_failures(capsys.readouterr().err)
+    assert len(failures) == 2
+    assert all("'d': 3, 'epsilon': 1e-20" in line and "IllConditionedError" in line for line in failures)
+    _, rows = parse_table(out)
+    assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0), (1.0, 1)]
+
+
+def test_default_study_reports_failed_cells_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    assert main(["default-study", "--dataset", "regime:high:low", "--d", "4", "--n", "1000",
+                 "--vbar", "0", "--epsilon", "1e-20,1", "--reps", "2", "--out", str(out)]) == 0
+    failures = _cell_failures(capsys.readouterr().err)
+    assert len(failures) == 2
+    assert all("'epsilon': 1e-20, 'vbar': 0.0" in line and "IllConditionedError" in line for line in failures)
+    _, rows = parse_table(out)
+    assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0), (1.0, 1)]
+
+
+def test_default_study_rejects_a_bad_grid_as_config_error(tmp_path, capsys):
+    base = ["default-study", "--dataset", "uniform", "--d", "4", "--n", "100", "--out", str(tmp_path / "s.csv")]
+    for flags in (["--reps", "0", "--epsilon", "1"], ["--reps", "1", "--epsilon=-1"],
+                  ["--reps", "1", "--epsilon", "nan"]):
+        assert main(base + flags) == 2, flags
+        assert "error[config]" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_bounds_and_cost_commands(tmp_path, capsys):
     assert main(["bounds", "--epsilon", "1", "--n", "100000", "--delta", "0.05", "--f", "0.5"]) == 0
     printed = capsys.readouterr().out

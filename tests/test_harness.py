@@ -93,15 +93,29 @@ def test_run_sweep_shapes_and_order():
             "mean_est", "mean_true"} == set(detailed.per_key_rows[0])
 
 
-def test_run_sweep_worker_invariance():
-    ds = _small_dataset(n=8000)
-    config1 = ExperimentConfig(mechanisms=("privkv", "kvoh"), epsilons=(0.5, 2.0),
-                               repetitions=3, seed=11, workers=1)
-    config8 = ExperimentConfig(mechanisms=("privkv", "kvoh"), epsilons=(0.5, 2.0),
-                               repetitions=3, seed=11, workers=8)
-    rows1 = rows_to_dicts(run_sweep(config1, ds).rows)
-    rows8 = rows_to_dicts(run_sweep(config8, ds).rows)
-    assert rows1 == rows8
+def _sweep_rows(workers):
+    config = ExperimentConfig(mechanisms=("privkv", "kvoh"), epsilons=(0.5, 2.0),
+                              repetitions=3, seed=11, workers=workers)
+    return rows_to_dicts(run_sweep(config, _small_dataset(n=8000)).rows)
+
+
+def _conditional_rows(workers):
+    return list(run_conditional(_small_dataset(n=8000, d=4), (0.5, 2.0), 3, 11, workers=workers))
+
+
+def _study_rows(workers):
+    detail, summary, _ = default_value_study(_small_dataset(n=8000), (-1.0, 1.0), (0.5, 2.0), 3, 11,
+                                             workers=workers)
+    return detail + summary
+
+
+@pytest.mark.parametrize("experiment", [_sweep_rows, _conditional_rows, _study_rows],
+                         ids=["run_sweep", "run_conditional", "default_value_study"])
+def test_experiment_worker_invariance(experiment):
+    rows = experiment(1)
+    assert len(rows) >= 6
+    # repr tells floats apart to the last bit and matches NaN with NaN.
+    assert repr(rows) == repr(experiment(3))
 
 
 def test_run_sweep_records_partial_failures():
@@ -115,6 +129,24 @@ def test_run_sweep_records_partial_failures():
     assert len(result.failures) == 2
     assert result.failures[0]["epsilon"] == 1e-13
     assert "IllConditioned" in result.failures[0]["error"]
+
+
+def test_run_conditional_records_partial_failures():
+    ds = _small_dataset(n=1000, d=4)
+    rows = run_conditional(ds, (1e-20, 1.0), 2, seed=8)
+    assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0), (1.0, 1)]
+    assert [(f["epsilon"], f["repetition"]) for f in rows.failures] == [(1e-20, 0), (1e-20, 1)]
+    assert all(f["error"].startswith("IllConditionedError: ") for f in rows.failures)
+
+
+def test_default_value_study_records_partial_failures():
+    ds = _small_dataset(n=1000, d=4)
+    detail, summary, failures = default_value_study(ds, vbars=(0.0,), epsilons=(1e-20, 1.0),
+                                                    repetitions=2, seed=8)
+    assert [(r["epsilon"], r["repetition"]) for r in detail] == [(1.0, 0), (1.0, 1)]
+    assert [(s["epsilon"], s["repetitions"]) for s in summary] == [(1.0, 2)]
+    assert [(f["epsilon"], f["vbar"], f["repetition"]) for f in failures] == [(1e-20, 0.0, 0), (1e-20, 0.0, 1)]
+    assert all(f["error"].startswith("IllConditionedError: ") for f in failures)
 
 
 def test_summarize_and_soft_checks():
@@ -215,10 +247,11 @@ def test_emit_validation(tmp_path):
 
 def test_default_value_study_shape_and_ratio():
     ds = _small_dataset(n=5000, d=10)
-    detail, summary = default_value_study(ds, vbars=(-1.0, 0.0, 1.0), epsilons=(1.0,),
-                                          repetitions=4, seed=9)
+    detail, summary, failures = default_value_study(ds, vbars=(-1.0, 0.0, 1.0), epsilons=(1.0,),
+                                                    repetitions=4, seed=9)
     assert len(detail) == 3 * 4
     assert len(summary) == 3
+    assert failures == []
     ratios = default_value_spread_ratio(summary)
     assert set(ratios) == {1.0}
     assert ratios[1.0] >= 1.0
@@ -247,12 +280,30 @@ def test_run_conditional_undefined_rows():
     assert math.isnan(rows[0]["freq_true"])
 
 
+def _experiments(ds):
+    """The three experiments over ds, each taking (epsilons, repetitions, workers)."""
+    return [
+        lambda e, r, w: run_sweep(ExperimentConfig(mechanisms=("kvue",), epsilons=e, repetitions=r,
+                                                   workers=w), ds),
+        lambda e, r, w: run_conditional(ds, epsilons=e, repetitions=r, seed=0, workers=w),
+        lambda e, r, w: default_value_study(ds, epsilons=e, repetitions=r, seed=0, workers=w),
+    ]
+
+
 def test_run_conditional_validation():
+    # Every experiment rejects a bad grid with ConfigError before any cell runs.
     ds = Dataset(np.ones((10, 2)))
-    with pytest.raises(ConfigError):
-        run_conditional(ds, epsilons=[], repetitions=1, seed=0)
-    with pytest.raises(ConfigError):
-        run_conditional(ds, epsilons=[1.0], repetitions=0, seed=0)
+    for experiment in _experiments(ds):
+        for epsilons in ([], [-1.0], [0.0], [math.nan], [math.inf], [1.0, -1.0]):
+            with pytest.raises(ConfigError, match="epsilons"):
+                experiment(epsilons, 1, 1)
+        for repetitions in (0, -2, 1.5):
+            with pytest.raises(ConfigError, match="repetitions"):
+                experiment([1.0], repetitions, 1)
+    with pytest.raises(ConfigError, match="simulation method"):
+        run_conditional(ds, epsilons=[1.0], repetitions=1, seed=0, method="bogus")
+    with pytest.raises(ConfigError, match="default values"):
+        default_value_study(ds, vbars=(), repetitions=1)
     big = Dataset(np.ones((2, 13)))
     with pytest.raises(ConfigError):
         run_conditional(big, epsilons=[1.0], repetitions=1, seed=0)
@@ -261,10 +312,9 @@ def test_run_conditional_validation():
 @pytest.mark.parametrize("workers", [0, -1])
 def test_experiments_reject_non_positive_workers(workers):
     ds = Dataset(np.ones((10, 2)))
-    with pytest.raises(ConfigError, match="workers"):
-        run_conditional(ds, epsilons=[1.0], repetitions=1, seed=0, workers=workers)
-    with pytest.raises(ConfigError, match="workers"):
-        default_value_study(ds, epsilons=(1.0,), repetitions=1, seed=0, workers=workers)
+    for experiment in _experiments(ds):
+        with pytest.raises(ConfigError, match="workers"):
+            experiment([1.0], 1, workers)
 
 
 def test_condition_text_round_trip():
