@@ -77,7 +77,10 @@ class ConfigError(ValueError):
 
 def _check_grid(epsilons, repetitions, workers) -> tuple:
     """Check the settings every experiment shares; returns the epsilons as floats."""
-    epsilons = tuple(float(e) for e in epsilons)
+    try:
+        epsilons = tuple(float(e) for e in epsilons)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"epsilons must be positive finite reals, got {epsilons!r}") from exc
     if not epsilons or any(not (math.isfinite(e) and e > 0) for e in epsilons):
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons}")
     if not isinstance(repetitions, (int, np.integer)) or repetitions < 1:
