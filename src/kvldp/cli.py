@@ -254,7 +254,13 @@ def _cmd_conditional(args) -> int:
         all_rows.extend(rows)
         _print_failures({"d": ds.d, **failure} for failure in rows.failures)
         if args.agg_out and di == 0:
-            save_aggregate(first_conditional_aggregate(ds, epsilons[0], seed, method), args.agg_out, seed=seed)
+            # The aggregate is that of cell (epsilons[0], repetition 0); when
+            # that cell failed, redrawing it would fail the same way.
+            if any(f["epsilon"] == epsilons[0] and f["repetition"] == 0 for f in rows.failures):
+                print(f"agg-out skipped: cell d={ds.d} epsilon={epsilons[0]!r} repetition=0 failed, "
+                      f"{args.agg_out} not written", file=sys.stderr)
+            else:
+                save_aggregate(first_conditional_aggregate(ds, epsilons[0], seed, method), args.agg_out, seed=seed)
     emit(all_rows, fmt, out, config={"dims": list(dims), "epsilons": list(epsilons),
                                      "repetitions": reps, "seed": seed, "n": n, "method": method})
     print(f"wrote {len(all_rows)} rows to {out}")

@@ -79,7 +79,9 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     values = rng.uniform(-1.0, 1.0, size=(n, d))
     values *= half_width[None, :]
     values += mean_targets[None, :]
-    values[~present] = np.nan
+    # NaN is filled block by block, so the inverse mask stays block-sized.
+    for rows in row_blocks(n, d):
+        np.copyto(values[rows], np.nan, where=~present[rows])
     return values
 
 

@@ -26,6 +26,7 @@ drawing a fixed number of variates from one generator; one user is a
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -89,6 +90,29 @@ PAYLOADS = {
 _MECHANISM_OF_NAME = {m.value: m for m in Mechanism}
 
 
+# A trace holds at most d x |payloads| distinct lines, so nearly every line
+# is a cache hit.  The bound caps memory for hostile input such as many
+# distinct key indices; lru_cache stores no exception, so a malformed
+# line raises on every call.
+_REPORT_LINE_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_REPORT_LINE_CACHE_SIZE)
+def _parse_report_line(line: str) -> Report:
+    """The report a wire line holds; equal lines share one immutable Report."""
+    try:
+        name, index, text = line.strip().split(",")
+        mechanism = _MECHANISM_OF_NAME[name]
+        key_index = int(index)
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed report line {line!r}") from exc
+    table = PAYLOADS[mechanism]
+    code = table.code_of_text.get(text)
+    if code is None:
+        raise DomainError(f"malformed {name} payload in {line!r}")
+    return Report(mechanism, key_index, table.values[code])
+
+
 @dataclass(frozen=True, slots=True)
 class Report:
     """One perturbed client message: sampled key index plus payload.
@@ -119,19 +143,8 @@ class Report:
         table = PAYLOADS[self.mechanism]
         return f"{self.mechanism.value},{self.key_index},{table.texts[table.code_of_value[self.payload]]}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "Report":
-        try:
-            name, index, text = line.strip().split(",")
-            mechanism = _MECHANISM_OF_NAME[name]
-            key_index = int(index)
-        except (KeyError, ValueError) as exc:
-            raise DomainError(f"malformed report line {line!r}") from exc
-        table = PAYLOADS[mechanism]
-        code = table.code_of_text.get(text)
-        if code is None:
-            raise DomainError(f"malformed {name} payload in {line!r}")
-        return cls(mechanism, key_index, table.values[code])
+    # The memo itself, not a method calling it: a hit then costs one call.
+    from_line = staticmethod(_parse_report_line)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,21 @@ def test_conditional_reports_failed_cells_and_exits_zero(tmp_path, capsys):
     assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0), (1.0, 1)]
 
 
+def test_conditional_agg_out_skips_a_failed_first_cell_and_keeps_the_run(tmp_path, capsys):
+    out = tmp_path / "cond.csv"
+    agg_out = tmp_path / "agg.txt"
+    assert main(["conditional", "--dims", "3", "--epsilon", "1e-20,1", "--reps", "1", "--n", "1000",
+                 "--out", str(out), "--agg-out", str(agg_out)]) == 0
+    err = capsys.readouterr().err
+    assert len(_cell_failures(err)) == 1
+    skipped = [line for line in err.splitlines() if line.startswith("agg-out skipped: ")]
+    assert len(skipped) == 1
+    assert "d=3 epsilon=1e-20 repetition=0" in skipped[0]
+    assert not agg_out.exists()
+    _, rows = parse_table(out)
+    assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0)]
+
+
 def test_default_study_reports_failed_cells_and_exits_zero(tmp_path, capsys):
     out = tmp_path / "study.csv"
     assert main(["default-study", "--dataset", "regime:high:low", "--d", "4", "--n", "1000",

@@ -5,6 +5,7 @@ and per-bit implementations the vectorized code replaced; the tests pin
 the new code to their exact bytes and Report lists.
 """
 
+import dataclasses
 import json
 import os
 
@@ -61,6 +62,21 @@ def _ref_report_lines(mechanism, encoded):
     else:
         for j, bits in zip(encoded.key_index, encoded.bits):
             yield f"{name},{j},{bits[0]}{bits[1]}{bits[2]}"
+
+
+def _ref_from_line(line):
+    """Report.from_line before the memo: one new Report per call."""
+    try:
+        name, index, text = line.strip().split(",")
+        mechanism = Mechanism(name)
+        key_index = int(index)
+    except ValueError as exc:
+        raise DomainError(f"malformed report line {line!r}") from exc
+    table = PAYLOADS[mechanism]
+    code = table.code_of_text.get(text)
+    if code is None:
+        raise DomainError(f"malformed {name} payload in {line!r}")
+    return Report(mechanism, key_index, table.values[code])
 
 
 def _ref_index_bits(d):
@@ -263,6 +279,49 @@ def test_from_line_covers_every_payload_and_rejects_others():
     for line in ("kvue,1,x", "kvue,1,3", "f2m,1,1", "f2m,1,21", "kvoh,1,1010", "pckv,1,0", "kvue,-1,0", "kvue,1"):
         with pytest.raises(DomainError):
             Report.from_line(line)
+
+
+def test_memoized_from_line_equals_the_uncached_parse():
+    for mechanism, table in PAYLOADS.items():
+        for text in table.texts:
+            for key_index in (0, 36, 2**40):
+                for end in ("\n", "\r\n", ""):
+                    line = f"{mechanism.value},{key_index},{text}{end}"
+                    assert Report.from_line(line) == _ref_from_line(line)
+
+
+def test_from_line_shares_one_report_per_distinct_line():
+    line = "f2m,36,10\n"
+    assert Report.from_line(line) is Report.from_line(line)
+    assert Report.from_line("kvoh,2,101") is Report.from_line("kvoh,2,101")
+
+
+def test_from_line_rejects_a_bad_line_on_every_call_without_caching_it():
+    before = Report.from_line.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            Report.from_line("kvue,9,7\n")
+    assert Report.from_line.cache_info().currsize == before
+
+
+def test_from_line_cache_stays_bounded_and_correct_past_its_size():
+    maxsize = Report.from_line.cache_info().maxsize
+    assert maxsize is not None
+    lines = [f"kvue,{key_index},{key_index % 3}" for key_index in range(maxsize + 100)]
+    for line in lines:
+        assert Report.from_line(line) == _ref_from_line(line)
+        assert Report.from_line.cache_info().currsize <= maxsize
+    # The earliest lines were evicted and are parsed afresh.
+    assert all(Report.from_line(line) == _ref_from_line(line) for line in lines[:200])
+
+
+def test_a_shared_report_is_immutable():
+    report = Report.from_line("kvue,3,2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.key_index = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.payload = 0
+    assert Report.from_line("kvue,3,2") == Report(Mechanism.KVUE, 3, 2)
 
 
 # ---------------------------------------------------------------------------
