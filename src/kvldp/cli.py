@@ -29,6 +29,7 @@ from .harness import (
     MECHANISMS,
     ConfigError,
     ExperimentConfig,
+    check_format,
     check_mechanisms,
     default_value_study,
     default_value_spread_ratio,
@@ -70,16 +71,9 @@ def _resolve(args, config: dict, key: str, fallback=None):
     return fallback
 
 
-def _floats(text, what: str):
+def _numbers(text, what: str, kind=float):
     try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
-
-
-def _ints(text, what: str):
-    try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        return tuple(kind(tok) for tok in str(text).split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} list {text!r}") from exc
 
@@ -116,9 +110,26 @@ def _dataset_from_spec(spec, d, n, seed):
     raise ConfigError(f"dataset {spec!r} is neither an existing file nor a generator spec")
 
 
+def _dataset(args, file_config: dict, seed):
+    """The dataset --dataset names, generated at --d and --n when it is a generator spec."""
+    return _dataset_from_spec(_resolve(args, file_config, "dataset"),
+                              _int(_resolve(args, file_config, "d", 100), "d"),
+                              _int(_resolve(args, file_config, "n", 100000), "n"), seed)
+
+
 def _sibling_path(out: str, label: str) -> str:
     base, ext = os.path.splitext(out)
     return f"{base}.{label}{ext}"
+
+
+def _output(args, file_config: dict, command: str):
+    """The --out path and checked --format of a command that writes tables."""
+    out = _resolve(args, file_config, "out")
+    if out is None:
+        raise ConfigError(f"--out is required for {command}")
+    fmt = str(_resolve(args, file_config, "format", "csv"))
+    check_format(fmt)
+    return out, fmt
 
 
 def _print_failures(failures):
@@ -163,7 +174,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    scale = _floats(args.scale, "scale")
+    scale = _numbers(args.scale, "scale")
     if len(scale) != 2:
         raise ConfigError(f"--scale needs exactly two numbers, got {args.scale!r}")
     ds = ingest_ratings(args.input, args.top_k, rating_scale=scale,
@@ -178,22 +189,14 @@ def _cmd_run(args) -> int:
     seed = _int(_resolve(args, file_config, "seed", 0), "seed")
     config = ExperimentConfig(
         mechanisms=tuple(str(_resolve(args, file_config, "mechanisms", ",".join(MECHANISMS))).split(",")),
-        epsilons=_floats(_resolve(args, file_config, "epsilon", ",".join(map(str, DEFAULT_EPSILON_GRID))), "epsilon"),
+        epsilons=_numbers(_resolve(args, file_config, "epsilon", ",".join(map(str, DEFAULT_EPSILON_GRID))), "epsilon"),
         repetitions=_int(_resolve(args, file_config, "reps", 50), "reps"),
         seed=seed,
         default_value=_float(_resolve(args, file_config, "vbar", 1.0), "vbar"),
         workers=_int(_resolve(args, file_config, "workers", 1), "workers"),
     )
-    ds = _dataset_from_spec(
-        _resolve(args, file_config, "dataset"),
-        _int(_resolve(args, file_config, "d", 100), "d"),
-        _int(_resolve(args, file_config, "n", 100000), "n"),
-        seed,
-    )
-    out = _resolve(args, file_config, "out")
-    if out is None:
-        raise ConfigError("--out is required for run")
-    fmt = str(_resolve(args, file_config, "format", "csv"))
+    ds = _dataset(args, file_config, seed)
+    out, fmt = _output(args, file_config, "run")
     result = run_sweep(config, ds, per_key=args.per_key)
     header = config.as_dict()
     header["dataset"] = ds.provenance
@@ -218,18 +221,15 @@ def _cmd_run(args) -> int:
 def _cmd_conditional(args) -> int:
     file_config = _read_config_file(args.config) if args.config else {}
     seed = _int(_resolve(args, file_config, "seed", 0), "seed")
-    dims = _ints(_resolve(args, file_config, "dims", "2,4,8"), "dims")
-    epsilons = _floats(_resolve(args, file_config, "epsilon", "4"), "epsilon")
+    dims = _numbers(_resolve(args, file_config, "dims", "2,4,8"), "dims", int)
+    epsilons = _numbers(_resolve(args, file_config, "epsilon", "4"), "epsilon")
     reps = _int(_resolve(args, file_config, "reps", 20), "reps")
     n = _int(_resolve(args, file_config, "n", 100000), "n")
     method = str(_resolve(args, file_config, "method", "column"))
     dataset_spec = _resolve(args, file_config, "dataset")
     target = _resolve(args, file_config, "target")
     cond_text = _resolve(args, file_config, "cond")
-    out = _resolve(args, file_config, "out")
-    if out is None:
-        raise ConfigError("--out is required for conditional")
-    fmt = str(_resolve(args, file_config, "format", "csv"))
+    out, fmt = _output(args, file_config, "conditional")
 
     all_rows = []
     for di, d in enumerate(dims):
@@ -270,19 +270,11 @@ def _cmd_conditional(args) -> int:
 def _cmd_default_study(args) -> int:
     file_config = _read_config_file(args.config) if args.config else {}
     seed = _int(_resolve(args, file_config, "seed", 0), "seed")
-    vbars = _floats(_resolve(args, file_config, "vbar", ",".join(map(str, DEFAULT_VBAR_GRID))), "vbar")
-    epsilons = _floats(_resolve(args, file_config, "epsilon", "0.5,1"), "epsilon")
+    vbars = _numbers(_resolve(args, file_config, "vbar", ",".join(map(str, DEFAULT_VBAR_GRID))), "vbar")
+    epsilons = _numbers(_resolve(args, file_config, "epsilon", "0.5,1"), "epsilon")
     reps = _int(_resolve(args, file_config, "reps", 50), "reps")
-    ds = _dataset_from_spec(
-        _resolve(args, file_config, "dataset"),
-        _int(_resolve(args, file_config, "d", 100), "d"),
-        _int(_resolve(args, file_config, "n", 100000), "n"),
-        seed,
-    )
-    out = _resolve(args, file_config, "out")
-    if out is None:
-        raise ConfigError("--out is required for default-study")
-    fmt = str(_resolve(args, file_config, "format", "csv"))
+    ds = _dataset(args, file_config, seed)
+    out, fmt = _output(args, file_config, "default-study")
     workers = _int(_resolve(args, file_config, "workers", 1), "workers")
     detail, summary, failures = default_value_study(ds, vbars, epsilons, reps, seed, workers=workers)
     header = {"vbars": list(vbars), "epsilons": list(epsilons), "repetitions": reps,
@@ -296,10 +288,8 @@ def _cmd_default_study(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    names = str(args.mechanisms).split(",")
-    check_mechanisms(names)
-    mechanisms = [Mechanism(m) for m in names]
-    epsilons = _floats(args.epsilon, "epsilon")
+    mechanisms = [entry.mechanism for entry in check_mechanisms(str(args.mechanisms).split(","))]
+    epsilons = _numbers(args.epsilon, "epsilon")
     rows = []
     for mechanism in mechanisms:
         for epsilon in epsilons:
@@ -319,7 +309,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cost(args) -> int:
     rows = []
-    for d in _ints(args.d, "d"):
+    for d in _numbers(args.d, "d", int):
         for mechanism in Mechanism:
             rows.append({
                 "d": d,

@@ -39,28 +39,11 @@ from .conditional import (
     conditional_mean,
     simulate_ioh_bit_sums,
 )
-from .core import DomainError, PrivacyBudget, RandomSource, atomic_writer, ensure_generator
+from .core import DomainError, RandomSource, atomic_writer, ensure_generator
 from .datagen import Dataset, GroundTruth, true_conditional, true_stats
-from .mechanisms import (
-    PAYLOADS,
-    Mechanism,
-    f2m_decode_array,
-    f2m_encode_population,
-    kvoh_decode_array,
-    kvoh_encode_population,
-    kvue_decode_array,
-    kvue_encode_population,
-    lpp_encode_population,
-    privkv_decode_improved_array,
-    privkv_decode_original_array,
-    stats_from_estimates,
-    tally_f2m,
-    tally_kvoh,
-    tally_ternary,
-    wire_codes,
-)
+from .mechanisms import PAYLOADS, PROTOCOLS, code_table
 
-MECHANISMS = ("privkv", "privkv-improved", "f2m", "kvue", "kvoh")
+MECHANISMS = tuple(PROTOCOLS)
 DEFAULT_EPSILON_GRID = (0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_VBAR_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -90,11 +73,18 @@ def _check_grid(epsilons, repetitions, workers) -> tuple:
     return epsilons
 
 
-def check_mechanisms(names):
-    """Raise ConfigError naming every entry of names that is not one of MECHANISMS."""
+def check_mechanisms(names) -> list:
+    """The registry entries behind names; ConfigError naming every name not in MECHANISMS."""
     unknown = [m for m in names if m not in MECHANISMS]
     if unknown:
         raise ConfigError(f"unknown mechanisms {unknown}; choose from {list(MECHANISMS)}")
+    return [PROTOCOLS[m] for m in names]
+
+
+def check_format(fmt):
+    """Raise ConfigError unless fmt is an output format emit writes."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}; choose csv or json")
 
 
 @dataclass(frozen=True)
@@ -168,19 +158,6 @@ class SweepResult(NamedTuple):
     failures: list
 
 
-def _encode_population(values: np.ndarray, mechanism: str, epsilon: float, g, default_value: float):
-    """Run the population encoder behind a mechanism name; privkv-improved encodes as privkv."""
-    if mechanism in ("privkv", "privkv-improved"):
-        return lpp_encode_population(values, PrivacyBudget.split(epsilon), g)
-    if mechanism == "f2m":
-        return f2m_encode_population(values, PrivacyBudget.split(epsilon), default_value, g)
-    if mechanism == "kvue":
-        return kvue_encode_population(values, epsilon, g)
-    if mechanism == "kvoh":
-        return kvoh_encode_population(values, epsilon, g)
-    raise ConfigError(f"unknown mechanism {mechanism!r}; choose from {list(MECHANISMS)}")
-
-
 def estimate_population(values: np.ndarray, mechanism: str, epsilon: float, rng,
                         default_value: float = 1.0):
     """Encode every user, aggregate by sampled key, decode.
@@ -188,22 +165,10 @@ def estimate_population(values: np.ndarray, mechanism: str, epsilon: float, rng,
     Returns (frequency, mean, mean_defined) arrays of length d.  Keys that
     received no reports get NaN frequency.
     """
-    d = values.shape[1]
-    encoded = _encode_population(values, mechanism, epsilon, ensure_generator(rng), default_value)
-    if mechanism == "f2m":
-        ones, totals, pos, neg = tally_f2m(encoded.key_index, encoded.key_bits, encoded.signs, d)
-        return f2m_decode_array(ones, totals, pos, neg, PrivacyBudget.split(epsilon), default_value)
-    if mechanism == "kvoh":
-        sums, totals = tally_kvoh(encoded.key_index, encoded.bits, d)
-        return stats_from_estimates(kvoh_decode_array(sums, totals, epsilon), totals)
-    counts = tally_ternary(encoded.key_index, encoded.states, d)
-    if mechanism == "privkv":
-        return privkv_decode_original_array(counts, PrivacyBudget.split(epsilon))
-    if mechanism == "privkv-improved":
-        estimates = privkv_decode_improved_array(counts, PrivacyBudget.split(epsilon))
-    else:
-        estimates = kvue_decode_array(counts, epsilon)
-    return stats_from_estimates(estimates, counts.sum(axis=1))
+    entry = check_mechanisms([mechanism])[0]
+    encoded = entry.encode(values, epsilon, default_value, ensure_generator(rng))
+    table = code_table(entry.mechanism, encoded.key_index, encoded.codes, values.shape[1])
+    return entry.decode(table, epsilon, default_value)
 
 
 def _error_metrics(frequency, mean, defined, truth: GroundTruth):
@@ -503,9 +468,7 @@ def rows_to_dicts(rows, timing: bool = False) -> list:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "nan" if math.isnan(value) else "%.6g" % value
@@ -513,9 +476,7 @@ def _format_cell(value) -> str:
 
 
 def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return None if math.isnan(value) else float("%.6g" % value)
@@ -536,6 +497,7 @@ def emit(rows, fmt: str, path, config: dict = None):
     for row in rows:
         if list(row.keys()) != columns:
             raise DomainError("rows disagree on columns")
+    check_format(fmt)
     if fmt == "csv":
         buffer = io.StringIO()
         if config is not None:
@@ -545,15 +507,13 @@ def emit(rows, fmt: str, path, config: dict = None):
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
         payload = buffer.getvalue()
-    elif fmt == "json":
+    else:
         document = {
             "config": config,
             "columns": columns,
             "rows": [[_json_cell(row[c]) for c in columns] for row in rows],
         }
         payload = json.dumps(document, sort_keys=True, indent=1) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}; choose csv or json")
     try:
         with atomic_writer(path) as handle:
             handle.write(payload)
@@ -603,18 +563,18 @@ def population_report_lines(mechanism: str, encoded) -> list:
     Every line is drawn from a table over (key, payload) indexed by
     key * |payloads| + payload code, so only that table is formatted.
     """
-    name = Mechanism(mechanism if mechanism != "privkv-improved" else "privkv")
+    name = check_mechanisms([mechanism])[0].mechanism
     texts = PAYLOADS[name].texts
     key_index = np.asarray(encoded.key_index, dtype=np.int64)
     keys = int(key_index.max()) + 1 if key_index.size else 0
     table = [f"{name.value},{key},{text}" for key in range(keys) for text in texts]
-    return list(map(table.__getitem__, (key_index * len(texts) + wire_codes(encoded)).tolist()))
+    return list(map(table.__getitem__, (key_index * len(texts) + encoded.codes).tolist()))
 
 
 def write_trace(path, mechanism: str, ds: Dataset, epsilon: float, rng,
                 default_value: float = 1.0):
     """Encode the population once and write one wire-format line per report, atomically."""
-    encoded = _encode_population(ds.values, mechanism, epsilon, ensure_generator(rng), default_value)
+    encoded = check_mechanisms([mechanism])[0].encode(ds.values, epsilon, default_value, ensure_generator(rng))
     lines = population_report_lines(mechanism, encoded)
     with atomic_writer(path) as handle:
         if lines:

@@ -21,6 +21,9 @@ recover per-key frequency and mean estimates.
 The *_population encoders privatize a whole (n, d) population at once,
 drawing a fixed number of variates from one generator; one user is a
 1-row matrix.  Decoders work on per-key tallies, one row per key.
+
+PROTOCOLS maps each mechanism name, privkv-improved included, to its wire
+form, sampler, decoder and state channel.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +99,8 @@ _MECHANISM_OF_NAME = {m.value: m for m in Mechanism}
 # distinct key indices; lru_cache stores no exception, so a malformed
 # line raises on every call.
 _REPORT_LINE_CACHE_SIZE = 1 << 14
+# The one spelling of a key index: ASCII digits, no sign, no leading zero.
+_KEY_INDEX = re.compile("0|[1-9][0-9]*")
 
 
 @functools.lru_cache(maxsize=_REPORT_LINE_CACHE_SIZE)
@@ -103,6 +109,8 @@ def _parse_report_line(line: str) -> Report:
     try:
         name, index, text = line.strip().split(",")
         mechanism = _MECHANISM_OF_NAME[name]
+        if not _KEY_INDEX.fullmatch(index):
+            raise ValueError(f"non-canonical key index {index!r}")
         key_index = int(index)
     except (KeyError, ValueError) as exc:
         raise DomainError(f"malformed report line {line!r}") from exc
@@ -127,7 +135,7 @@ class Report:
     payload: object
 
     def __post_init__(self):
-        if not isinstance(self.key_index, (int, np.integer)) or self.key_index < 0:
+        if isinstance(self.key_index, bool) or not isinstance(self.key_index, (int, np.integer)) or self.key_index < 0:
             raise DomainError(f"key index must be a non-negative integer, got {self.key_index!r}")
         table = PAYLOADS.get(self.mechanism) if isinstance(self.mechanism, Mechanism) else None
         if table is None:
@@ -154,13 +162,16 @@ class Report:
 # All take a (n, d) float matrix with NaN marking absent keys (the dense
 # form datasets use) and one generator; the number and order of draws is
 # fixed, so a fixed (seed, stream) reproduces the cell bit-for-bit no
-# matter how cells are scheduled across workers.
+# matter how cells are scheduled across workers.  A batch's codes are its
+# payloads as rows of the mechanism's PAYLOADS table.
 
 
 class TernaryReports(NamedTuple):
     key_index: np.ndarray
     states: np.ndarray
     true_states: np.ndarray
+
+    codes = property(lambda self: self.states)
 
 
 class F2MReports(NamedTuple):
@@ -169,11 +180,15 @@ class F2MReports(NamedTuple):
     signs: np.ndarray
     true_states: np.ndarray
 
+    codes = property(lambda self: _f2m_codes(self.key_bits, self.signs))
+
 
 class KVOHReports(NamedTuple):
     key_index: np.ndarray
     bits: np.ndarray
     true_states: np.ndarray
+
+    codes = property(lambda self: _kvoh_codes(self.bits))
 
 
 _ONE_HOT = np.eye(3, dtype=bool)  # row s is the kvoh one-hot of state digit s
@@ -262,11 +277,6 @@ def _checked_codes(codes, size: int, what: str) -> np.ndarray:
     return codes
 
 
-def _code_table(key_index: np.ndarray, codes: np.ndarray, d: int, size: int) -> np.ndarray:
-    """(d, size) report counts per (key, payload code), from one bincount."""
-    return np.bincount(key_index * size + codes, minlength=d * size).reshape(d, size)
-
-
 # Row c holds the three bits of kvoh payload code c, most significant first.
 _KVOH_BIT_OF_CODE = np.array(PAYLOADS[Mechanism.KVOH].values, dtype=np.int64)
 
@@ -295,22 +305,26 @@ def _kvoh_tally(table: np.ndarray):
     return table @ _KVOH_BIT_OF_CODE, table.sum(axis=1)
 
 
+def code_table(mechanism: Mechanism, key_index, codes, d: int) -> np.ndarray:
+    """(d, |payloads|) report counts per (key, payload code) from one bincount, both ranges checked."""
+    size = len(PAYLOADS[mechanism].values)
+    flat = _checked_codes(key_index, d, "key indices") * size + _checked_codes(codes, size, "payload codes")
+    return np.bincount(flat, minlength=d * size).reshape(d, size)
+
+
 def tally_ternary(key_index: np.ndarray, states: np.ndarray, d: int) -> np.ndarray:
     """Per-key counts of the three states, shape (d, 3) indexed by state digit."""
-    key_index = _checked_codes(key_index, d, "key indices")
-    return _code_table(key_index, _checked_codes(states, 3, "state digits"), d, 3)
+    return code_table(Mechanism.KVUE, key_index, states, d)
 
 
 def tally_f2m(key_index, key_bits, signs, d: int):
     """Per-key aggregates for f2m: (set key bits, report totals, +1 signs, -1 signs)."""
-    key_index = _checked_codes(key_index, d, "key indices")
-    return _f2m_tally(_code_table(key_index, _f2m_codes(key_bits, signs), d, 4))
+    return _f2m_tally(code_table(Mechanism.F2M, key_index, _f2m_codes(key_bits, signs), d))
 
 
 def tally_kvoh(key_index, bits, d: int):
     """Per-key bit-position sums, shape (d, 3), plus per-key report totals."""
-    key_index = _checked_codes(key_index, d, "key indices")
-    return _kvoh_tally(_code_table(key_index, _kvoh_codes(bits), d, 8))
+    return _kvoh_tally(code_table(Mechanism.KVOH, key_index, _kvoh_codes(bits), d))
 
 
 def _report_columns(reports: Sequence[Report], d: int):
@@ -338,26 +352,12 @@ def _bit_matrix(words: np.ndarray, width: int) -> np.ndarray:
     return bits
 
 
-def wire_codes(encoded) -> np.ndarray:
-    """Payload code (row of the mechanism's PAYLOADS table) of every report in a population encoding."""
-    if isinstance(encoded, F2MReports):
-        return _f2m_codes(encoded.key_bits, encoded.signs).astype(np.int64)
-    if isinstance(encoded, KVOHReports):
-        return _kvoh_codes(encoded.bits).astype(np.int64)
-    return encoded.states.astype(np.int64)
-
-
 def tally_reports(reports: Sequence[Report], d: int):
     """Aggregate scalar reports (all of one mechanism) into decoder inputs."""
     if not reports:
         raise DomainError("no reports to tally")
     mechanism, key_index, codes = _report_columns(reports, d)
-    table = _code_table(key_index, codes, d, len(PAYLOADS[mechanism].values))
-    if mechanism is Mechanism.F2M:
-        return _f2m_tally(table)
-    if mechanism is Mechanism.KVOH:
-        return _kvoh_tally(table)
-    return table
+    return PROTOCOLS[mechanism.value].tally(code_table(mechanism, key_index, codes, d))
 
 
 # ---------------------------------------------------------------------------
@@ -631,37 +631,42 @@ def unpack_reports(data: bytes, mechanism: Mechanism, count: int, d: int):
 # Channel tables (closed-form privacy audit surface)
 # ---------------------------------------------------------------------------
 #
-# Probabilities are built from the keep/flip pair computed independently
-# (never as 1 - p), so worst-case likelihood ratios come out at e^eps up
-# to a few ulps and can be asserted at 1e-12 relative tolerance.
+# Every table is composed from the binary randomized-response table, whose
+# keep/flip pair is computed independently (never as 1 - p), so worst-case
+# likelihood ratios come out at e^eps up to a few ulps and can be asserted
+# at 1e-12 relative tolerance.
 
 
-def _rr_pair(epsilon: float):
+def rr_channel(epsilon: float) -> np.ndarray:
+    """(2, 2) binary randomized response table Pr[output bit | input bit]."""
     w = math.exp(-float(epsilon))
-    return 1.0 / (1.0 + w), w / (1.0 + w)
-
-
-def lpp_channel(budget: PrivacyBudget) -> np.ndarray:
-    """(3, 3) table Pr[output state | input state], rows/cols by state digit."""
-    p1, q1 = _rr_pair(budget.epsilon_key)
-    p2, q2 = _rr_pair(budget.epsilon_value)
-    table = np.empty((3, 3))
-    table[ABSENT] = [q1 / 2.0, p1, q1 / 2.0]
-    table[NEG] = [p1 * p2, q1, p1 * q2]
-    table[POS] = [p1 * q2, q1, p1 * p2]
-    return table
+    p, q = 1.0 / (1.0 + w), w / (1.0 + w)
+    return np.array([[p, q], [q, p]])
 
 
 def f2m_channel(budget: PrivacyBudget) -> np.ndarray:
     """(4, 4) table over (key bit, value sign) pairs ordered (0,-1),(0,1),(1,-1),(1,1)."""
-    p1, q1 = _rr_pair(budget.epsilon_key)
-    p2, q2 = _rr_pair(budget.epsilon_value)
-    inputs = [(0, -1), (0, 1), (1, -1), (1, 1)]
-    table = np.empty((4, 4))
-    for i, (kb, sign) in enumerate(inputs):
-        for o, (kb_out, sign_out) in enumerate(inputs):
-            table[i, o] = (p1 if kb_out == kb else q1) * (p2 if sign_out == sign else q2)
-    return table
+    return np.kron(rr_channel(budget.epsilon_key), rr_channel(budget.epsilon_value))
+
+
+def _pair_of_state(default_value: float) -> np.ndarray:
+    """(3, 4) Pr[(key bit, value sign) | state digit]; an absent key's sign is default_value discretized."""
+    rows = np.zeros((3, 4))
+    rows[NEG, 2] = rows[POS, 3] = 1.0
+    rows[ABSENT, :2] = (1.0 - default_value) / 2.0, (1.0 + default_value) / 2.0
+    return rows
+
+
+# Row c is the state digit privkv reports for (key bit, value sign) pair c.
+_STATE_OF_PAIR = np.eye(3)[[ABSENT, ABSENT, NEG, POS]]
+
+
+def lpp_channel(budget: PrivacyBudget) -> np.ndarray:
+    """(3, 3) table Pr[output state | input state], rows/cols by state digit.
+
+    The f2m channel with a uniform absent sign, both key-bit-0 outputs read as ABSENT.
+    """
+    return _pair_of_state(0.0) @ f2m_channel(budget) @ _STATE_OF_PAIR
 
 
 def kvue_channel(epsilon: float) -> np.ndarray:
@@ -676,23 +681,13 @@ def kvue_channel(epsilon: float) -> np.ndarray:
 
 def kvoh_bit_channel(epsilon: float) -> np.ndarray:
     """(2, 2) per-bit table of the kvoh/ioh bit flip at budget eps/2."""
-    p, q = _rr_pair(float(epsilon) / 2.0)
-    return np.array([[p, q], [q, p]])
+    return rr_channel(float(epsilon) / 2.0)
 
 
 def kvoh_channel(epsilon: float) -> np.ndarray:
     """(3, 8) table: input state digit vs 3-bit output pattern (b0 b1 b2 big-endian)."""
-    p, q = _rr_pair(float(epsilon) / 2.0)
-    table = np.empty((3, 8))
-    for state in range(3):
-        for pattern in range(8):
-            prob = 1.0
-            for position in range(3):
-                bit = (pattern >> (2 - position)) & 1
-                truth = 1 if position == state else 0
-                prob *= p if bit == truth else q
-            table[state, pattern] = prob
-    return table
+    bit = kvoh_bit_channel(epsilon)
+    return np.kron(np.kron(bit, bit), bit)[[4, 2, 1]]  # the one-hot patterns of digits 0, 1, 2
 
 
 def worst_case_ratio(table: np.ndarray) -> float:
@@ -701,3 +696,56 @@ def worst_case_ratio(table: np.ndarray) -> float:
     if np.any(table <= 0):
         raise DomainError("channel table must be strictly positive")
     return float(np.max(table.max(axis=0) / table.min(axis=0)))
+
+
+# ---------------------------------------------------------------------------
+# Protocol registry
+# ---------------------------------------------------------------------------
+
+
+class Protocol(NamedTuple):
+    """One mechanism name: its wire form, sampler, decoder and state channel.
+
+    A code table counts reports per (key, payload code), shape (d, |payloads|).
+    """
+
+    mechanism: Mechanism  # the wire form of its reports
+    encode: Callable  # (values, epsilon, default_value, g) -> report batch
+    tally: Callable  # code table -> decoder inputs, as tally_reports returns them
+    channel: Callable  # (epsilon, default_value) -> (3, |payloads|) Pr[payload code | true state digit]
+    estimate: Optional[Callable] = None  # (code table, epsilon) -> (d, 3) state counts
+    nonlinear: Optional[Callable] = None  # (code table, epsilon, default_value) -> as decode
+
+    def decode(self, table, epsilon, default_value):
+        """(frequency, mean, defined) per key of a code table."""
+        if self.estimate is None:
+            return self.nonlinear(table, epsilon, default_value)
+        return stats_from_estimates(self.estimate(table, epsilon), table.sum(axis=1))
+
+
+def _unchanged(table):
+    return table
+
+
+# The two privkv names share the sampler, wire form and channel; only the decoder differs.
+_LPP = Protocol(Mechanism.PRIVKV,
+                lambda values, eps, vbar, g: lpp_encode_population(values, PrivacyBudget.split(eps), g),
+                _unchanged, lambda eps, vbar: lpp_channel(PrivacyBudget.split(eps)))
+
+PROTOCOLS = {
+    "privkv": _LPP._replace(
+        nonlinear=lambda table, eps, vbar: privkv_decode_original_array(table, PrivacyBudget.split(eps))),
+    "privkv-improved": _LPP._replace(
+        estimate=lambda table, eps: privkv_decode_improved_array(table, PrivacyBudget.split(eps))),
+    "f2m": Protocol(
+        Mechanism.F2M, lambda values, eps, vbar, g: f2m_encode_population(values, PrivacyBudget.split(eps), vbar, g),
+        _f2m_tally, lambda eps, vbar: _pair_of_state(vbar) @ f2m_channel(PrivacyBudget.split(eps)),
+        nonlinear=lambda table, eps, vbar: f2m_decode_array(*_f2m_tally(table), PrivacyBudget.split(eps), vbar)),
+    "kvue": Protocol(
+        Mechanism.KVUE, lambda values, eps, vbar, g: kvue_encode_population(values, eps, g),
+        _unchanged, lambda eps, vbar: kvue_channel(eps), estimate=kvue_decode_array),
+    "kvoh": Protocol(
+        Mechanism.KVOH, lambda values, eps, vbar, g: kvoh_encode_population(values, eps, g),
+        _kvoh_tally, lambda eps, vbar: kvoh_channel(eps),
+        estimate=lambda table, eps: kvoh_decode_array(*_kvoh_tally(table), eps)),
+}

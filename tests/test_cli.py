@@ -3,6 +3,9 @@
 import subprocess
 import sys
 
+import pytest
+
+from kvldp import cli
 from kvldp.cli import main
 from kvldp.conditional import Condition, conditional_frequency, conditional_mean, load_aggregate
 from kvldp.datagen import load_dataset
@@ -203,6 +206,33 @@ def test_bounds_rejects_unknown_mechanism_as_config_error(capsys):
     assert main(["bounds", "--mechanisms", "kvue,foo", "--epsilon", "1"]) == 2
     err = capsys.readouterr().err
     assert "error[config]" in err and "unknown mechanisms ['foo']" in err
+
+
+def test_bounds_privkv_improved_is_a_domain_error_like_privkv(capsys):
+    # privkv-improved used to pass check_mechanisms and then escape as a
+    # ValueError traceback from Mechanism("privkv-improved").
+    for name in ("privkv", "privkv-improved"):
+        assert main(["bounds", "--mechanisms", name, "--epsilon", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "error[domain]" in err and "no closed-form bound for mechanism 'privkv'" in err
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the experiment ran before the output format was checked")
+
+
+@pytest.mark.parametrize("command, experiment", [
+    (["run", "--dataset", "uniform", "--d", "4", "--n", "100", "--mechanisms", "kvue"], "run_sweep"),
+    (["conditional", "--dims", "2", "--n", "100"], "run_conditional"),
+    (["default-study", "--dataset", "uniform", "--d", "4", "--n", "100"], "default_value_study"),
+])
+def test_unknown_format_is_rejected_before_the_grid_runs(tmp_path, capsys, monkeypatch, command, experiment):
+    monkeypatch.setattr(cli, experiment, _fail_if_called)
+    out = tmp_path / "x.xml"
+    assert main(command + ["--epsilon", "1", "--reps", "1", "--format", "xml", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "unknown output format 'xml'" in err
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

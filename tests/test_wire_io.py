@@ -11,9 +11,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvldp import cli
-from kvldp.conditional import AggregateVector, load_aggregate, save_aggregate
+from kvldp.conditional import AggregateVector, Condition, load_aggregate, save_aggregate
 from kvldp.core import CapacityError, DomainError, PrivacyBudget, RandomSource, atomic_writer
 from kvldp import datagen
 from kvldp.datagen import Dataset, gen_regime, gen_synthetic, load_dataset, save_dataset
@@ -279,6 +281,63 @@ def test_from_line_covers_every_payload_and_rejects_others():
     for line in ("kvue,1,x", "kvue,1,3", "f2m,1,1", "f2m,1,21", "kvoh,1,1010", "pckv,1,0", "kvue,-1,0", "kvue,1"):
         with pytest.raises(DomainError):
             Report.from_line(line)
+
+
+@pytest.mark.parametrize("index", ["1_0", "+3", " 3 ", "\u0663", "03", "00", "-0", "3.0", "0x3", "", "1e3"])
+def test_from_line_accepts_one_spelling_of_a_key_index(index):
+    before = Report.from_line.cache_info().currsize
+    with pytest.raises(DomainError):
+        Report.from_line(f"kvue,{index},0\n")
+    assert Report.from_line.cache_info().currsize == before
+    for canonical in ("0", "3", "10", "2" * 40):
+        assert Report.from_line(f"kvue,{canonical},0\n").to_line() == f"kvue,{canonical},0"
+
+
+@pytest.mark.parametrize("key_index", [True, False, np.bool_(True)])
+def test_report_rejects_a_bool_key_index(key_index):
+    with pytest.raises(DomainError):
+        Report(Mechanism.KVUE, key_index, 1)
+
+
+_JUNK = "0123456789+-_ .,=k\u0663\t"
+_WIRE_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from([m.value for m in Mechanism] + ["pckv", "KVUE", ""]),
+        st.one_of(st.integers(0, 2**70).map(str), st.text(_JUNK, max_size=6)),
+        st.one_of(st.sampled_from(sorted({text for table in PAYLOADS.values() for text in table.texts})),
+                  st.text(_JUNK, max_size=4)),
+        st.sampled_from(["", "\n", "\r\n", " ", ",", ",0"]),
+    ).map(lambda parts: f"{parts[0]}{parts[1]},{parts[2]},{parts[3]}{parts[4]}"),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WIRE_LINES)
+def test_from_line_fuzz_ends_in_a_round_tripping_report_or_a_domain_error(line):
+    try:
+        report = Report.from_line(line)
+    except DomainError:
+        return
+    assert report.to_line() == line.strip()
+
+
+_CONDITION_TOKENS = st.one_of(
+    st.tuples(st.integers(-1, 14), st.integers(-1, 2)).map(lambda kv: f"k{kv[0]}={kv[1]}"),
+    st.text(_JUNK, max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_CONDITION_TOKENS, max_size=5).map(",".join), st.text(max_size=16)),
+       st.integers(min_value=1, max_value=12))
+def test_condition_parse_fuzz_ends_in_a_condition_or_a_domain_error(text, d):
+    try:
+        condition = Condition.parse(text, d)
+    except DomainError:
+        return
+    assert condition.d == d and condition.n_constrained <= text.count("=")
 
 
 def test_memoized_from_line_equals_the_uncached_parse():
