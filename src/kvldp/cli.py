@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .conditional import Condition, save_aggregate
+from .conditional import Condition, parse_key_name, save_aggregate
 from .core import DomainError, RandomSource
 from .datagen import (
     FREQUENCY_REGIMES,
@@ -26,7 +26,6 @@ from .datagen import (
 from .harness import (
     DEFAULT_EPSILON_GRID,
     DEFAULT_VBAR_GRID,
-    MECHANISMS,
     ConfigError,
     ExperimentConfig,
     check_format,
@@ -48,48 +47,74 @@ _TRACE_TAG = 4
 _DATASET_TAG = 9
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
+def _numbers(kind):
+    """A parser of comma-separated numbers of one kind; empty items are skipped."""
+    return lambda text: tuple(kind(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse(name: str, parse, text):
+    """parse(text), with any failure a ConfigError naming the option."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse --{name} {text!r}: {exc}") from exc
+
+
+# The options of run, conditional and default-study.  Each name is a long
+# flag and a --config key, mapped to the parser of its text and its
+# default; a value comes from the flag, else the file, else the default.
+_DEFAULTS = ExperimentConfig()
+_DATASET = {"dataset": (str, None), "d": (int, 100), "n": (int, 100000)}
+_COMMON = {"seed": (int, _DEFAULTS.seed), "workers": (int, _DEFAULTS.workers),
+           "out": (str, None), "format": (check_format, "csv")}
+OPTIONS = {
+    "run": {**_DATASET, "mechanisms": (lambda text: text.split(","), _DEFAULTS.mechanisms),
+            "epsilon": (_numbers(float), _DEFAULTS.epsilons), "reps": (int, _DEFAULTS.repetitions),
+            "vbar": (float, _DEFAULTS.default_value), **_COMMON},
+    "conditional": {"dims": (_numbers(int), (2, 4, 8)), "epsilon": (_numbers(float), (4.0,)),
+                    "reps": (int, 20), "n": _DATASET["n"], "dataset": (str, None),
+                    "target": (parse_key_name, None), "cond": (str, None), "method": (str, "column"),
+                    **_COMMON},
+    "default-study": {**_DATASET, "vbar": (_numbers(float), DEFAULT_VBAR_GRID),
+                      "epsilon": (_numbers(float), (0.5, 1.0)), "reps": (int, _DEFAULTS.repetitions),
+                      **_COMMON},
+}
+
+
+def _options(args) -> argparse.Namespace:
+    """The table options of args.command, each parsed from its flag, else --config, else defaulted.
+
+    An unknown --config key, a file that is not UTF-8 text, an unparsable
+    value, a missing --out or an unknown --format is a ConfigError.
+    """
+    table = OPTIONS[args.command]
+    file_values = {}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                lines = list(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not a UTF-8 text file") from exc
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve(args, config: dict, key: str, fallback=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return fallback
-
-
-def _numbers(text, what: str, kind=float):
-    try:
-        return tuple(kind(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
-
-
-def _int(text, what: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {text!r}") from exc
-
-
-def _float(text, what: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from exc
+                raise ConfigError(f"{args.config}: line {lineno}: expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in table:
+                raise ConfigError(f"{args.config}: line {lineno}: unknown key {key!r} for "
+                                  f"{args.command}; known keys: {', '.join(table)}")
+            file_values[key] = value
+    options = argparse.Namespace()
+    for name, (parse, default) in table.items():
+        text = getattr(args, name)
+        if text is None:
+            text = file_values.get(name)
+        setattr(options, name, default if text is None else _parse(name, parse, text))
+    if options.out is None:
+        raise ConfigError(f"--out is required for {args.command}")
+    return options
 
 
 def _dataset_from_spec(spec, d, n, seed):
@@ -110,26 +135,9 @@ def _dataset_from_spec(spec, d, n, seed):
     raise ConfigError(f"dataset {spec!r} is neither an existing file nor a generator spec")
 
 
-def _dataset(args, file_config: dict, seed):
-    """The dataset --dataset names, generated at --d and --n when it is a generator spec."""
-    return _dataset_from_spec(_resolve(args, file_config, "dataset"),
-                              _int(_resolve(args, file_config, "d", 100), "d"),
-                              _int(_resolve(args, file_config, "n", 100000), "n"), seed)
-
-
 def _sibling_path(out: str, label: str) -> str:
     base, ext = os.path.splitext(out)
     return f"{base}.{label}{ext}"
-
-
-def _output(args, file_config: dict, command: str):
-    """The --out path and checked --format of a command that writes tables."""
-    out = _resolve(args, file_config, "out")
-    if out is None:
-        raise ConfigError(f"--out is required for {command}")
-    fmt = str(_resolve(args, file_config, "format", "csv"))
-    check_format(fmt)
-    return out, fmt
 
 
 def _print_failures(failures):
@@ -157,9 +165,7 @@ def _cell(value) -> str:
 
 
 def _cmd_generate(args) -> int:
-    seed = _int(args.seed, "seed")
-    d = _int(args.d, "d")
-    n = _int(args.n, "n")
+    seed, d, n = (_parse(name, int, getattr(args, name)) for name in ("seed", "d", "n"))
     if args.dist in ("gaussian", "uniform"):
         ds = gen_synthetic(args.dist, d, n, seed, value_spread=args.spread)
     elif args.dist == "regime":
@@ -174,7 +180,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    scale = _numbers(args.scale, "scale")
+    scale = _parse("scale", _numbers(float), args.scale)
     if len(scale) != 2:
         raise ConfigError(f"--scale needs exactly two numbers, got {args.scale!r}")
     ds = ingest_ratings(args.input, args.top_k, rating_scale=scale,
@@ -185,102 +191,76 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    file_config = _read_config_file(args.config) if args.config else {}
-    seed = _int(_resolve(args, file_config, "seed", 0), "seed")
-    config = ExperimentConfig(
-        mechanisms=tuple(str(_resolve(args, file_config, "mechanisms", ",".join(MECHANISMS))).split(",")),
-        epsilons=_numbers(_resolve(args, file_config, "epsilon", ",".join(map(str, DEFAULT_EPSILON_GRID))), "epsilon"),
-        repetitions=_int(_resolve(args, file_config, "reps", 50), "reps"),
-        seed=seed,
-        default_value=_float(_resolve(args, file_config, "vbar", 1.0), "vbar"),
-        workers=_int(_resolve(args, file_config, "workers", 1), "workers"),
-    )
-    ds = _dataset(args, file_config, seed)
-    out, fmt = _output(args, file_config, "run")
+    opts = _options(args)
+    config = ExperimentConfig(mechanisms=opts.mechanisms, epsilons=opts.epsilon, repetitions=opts.reps,
+                              seed=opts.seed, default_value=opts.vbar, workers=opts.workers)
+    ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
     result = run_sweep(config, ds, per_key=args.per_key)
-    header = config.as_dict()
-    header["dataset"] = ds.provenance
-    emit(rows_to_dicts(result.rows, timing=args.timing), fmt, out, config=header)
+    header = {**config.as_dict(), "dataset": ds.provenance}
+    emit(rows_to_dicts(result.rows, timing=args.timing), opts.format, opts.out, config=header)
     summary = summarize(result.rows)
-    emit(summary, fmt, _sibling_path(out, "summary"), config=header)
+    emit(summary, opts.format, _sibling_path(opts.out, "summary"), config=header)
     if args.per_key:
-        emit(result.per_key_rows, fmt, _sibling_path(out, "perkey"), config=header)
+        emit(result.per_key_rows, opts.format, _sibling_path(opts.out, "perkey"), config=header)
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
         for mi, mechanism in enumerate(config.mechanisms):
-            rng = RandomSource(seed).substream(_TRACE_TAG, mi).generator()
+            rng = RandomSource(opts.seed).substream(_TRACE_TAG, mi).generator()
             write_trace(os.path.join(args.trace, f"{mechanism}.txt"), mechanism, ds,
                         config.epsilons[0], rng, config.default_value)
     _print_failures(result.failures)
     for message in soft_checks(summary):
         print(f"soft-check: {message}", file=sys.stderr)
-    print(f"wrote {len(result.rows)} rows to {out}")
+    print(f"wrote {len(result.rows)} rows to {opts.out}")
     return 0
 
 
 def _cmd_conditional(args) -> int:
-    file_config = _read_config_file(args.config) if args.config else {}
-    seed = _int(_resolve(args, file_config, "seed", 0), "seed")
-    dims = _numbers(_resolve(args, file_config, "dims", "2,4,8"), "dims", int)
-    epsilons = _numbers(_resolve(args, file_config, "epsilon", "4"), "epsilon")
-    reps = _int(_resolve(args, file_config, "reps", 20), "reps")
-    n = _int(_resolve(args, file_config, "n", 100000), "n")
-    method = str(_resolve(args, file_config, "method", "column"))
-    dataset_spec = _resolve(args, file_config, "dataset")
-    target = _resolve(args, file_config, "target")
-    cond_text = _resolve(args, file_config, "cond")
-    out, fmt = _output(args, file_config, "conditional")
-
+    opts = _options(args)
+    if opts.cond is not None and opts.target is None:
+        raise ConfigError("--cond requires --target")
     all_rows = []
-    for di, d in enumerate(dims):
-        if dataset_spec is not None:
-            ds = _dataset_from_spec(dataset_spec, d, n, seed)
-            if ds.d != d and len(dims) > 1:
+    for di, d in enumerate(opts.dims):
+        if opts.dataset is not None:
+            ds = _dataset_from_spec(opts.dataset, d, opts.n, opts.seed)
+            if ds.d != d and len(opts.dims) > 1:
                 raise ConfigError("an explicit dataset file cannot serve multiple --dims")
         else:
-            gen_seed = RandomSource(seed).substream(_DATASET_TAG, di).stream_id
-            ds = gen_regime("high", "low", d, n, gen_seed)
+            gen_seed = RandomSource(opts.seed).substream(_DATASET_TAG, di).stream_id
+            ds = gen_regime("high", "low", d, opts.n, gen_seed)
         queries = None
-        if target is not None or cond_text is not None:
-            if target is None:
-                raise ConfigError("--cond requires --target")
-            if not str(target).startswith("k"):
-                raise ConfigError(f"--target must look like k2, got {target!r}")
-            k = _int(str(target)[1:], "target key") - 1
-            cond = Condition.parse(str(cond_text or ""), ds.d)
-            queries = [(k, cond)]
-        rows = run_conditional(ds, epsilons, reps, seed, queries=queries, method=method,
-                               workers=_int(_resolve(args, file_config, "workers", 1), "workers"))
+        if opts.target is not None:
+            queries = [(opts.target, Condition.parse(opts.cond or "", ds.d))]
+        rows = run_conditional(ds, opts.epsilon, opts.reps, opts.seed, queries=queries,
+                               method=opts.method, workers=opts.workers)
         all_rows.extend(rows)
         _print_failures({"d": ds.d, **failure} for failure in rows.failures)
         if args.agg_out and di == 0:
             # The aggregate is that of cell (epsilons[0], repetition 0); when
             # that cell failed, redrawing it would fail the same way.
-            if any(f["epsilon"] == epsilons[0] and f["repetition"] == 0 for f in rows.failures):
-                print(f"agg-out skipped: cell d={ds.d} epsilon={epsilons[0]!r} repetition=0 failed, "
+            epsilon = opts.epsilon[0]
+            if any(f["epsilon"] == epsilon and f["repetition"] == 0 for f in rows.failures):
+                print(f"agg-out skipped: cell d={ds.d} epsilon={epsilon!r} repetition=0 failed, "
                       f"{args.agg_out} not written", file=sys.stderr)
             else:
-                save_aggregate(first_conditional_aggregate(ds, epsilons[0], seed, method), args.agg_out, seed=seed)
-    emit(all_rows, fmt, out, config={"dims": list(dims), "epsilons": list(epsilons),
-                                     "repetitions": reps, "seed": seed, "n": n, "method": method})
-    print(f"wrote {len(all_rows)} rows to {out}")
+                save_aggregate(first_conditional_aggregate(ds, epsilon, opts.seed, opts.method),
+                               args.agg_out, seed=opts.seed)
+    emit(all_rows, opts.format, opts.out,
+         config={"dims": list(opts.dims), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
+                 "seed": opts.seed, "n": opts.n, "method": opts.method})
+    print(f"wrote {len(all_rows)} rows to {opts.out}")
     return 0
 
 
 def _cmd_default_study(args) -> int:
-    file_config = _read_config_file(args.config) if args.config else {}
-    seed = _int(_resolve(args, file_config, "seed", 0), "seed")
-    vbars = _numbers(_resolve(args, file_config, "vbar", ",".join(map(str, DEFAULT_VBAR_GRID))), "vbar")
-    epsilons = _numbers(_resolve(args, file_config, "epsilon", "0.5,1"), "epsilon")
-    reps = _int(_resolve(args, file_config, "reps", 50), "reps")
-    ds = _dataset(args, file_config, seed)
-    out, fmt = _output(args, file_config, "default-study")
-    workers = _int(_resolve(args, file_config, "workers", 1), "workers")
-    detail, summary, failures = default_value_study(ds, vbars, epsilons, reps, seed, workers=workers)
-    header = {"vbars": list(vbars), "epsilons": list(epsilons), "repetitions": reps,
-              "seed": seed, "dataset": ds.provenance}
-    emit(detail, fmt, out, config=header)
-    emit(summary, fmt, _sibling_path(out, "summary"), config=header)
+    opts = _options(args)
+    ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
+    detail, summary, failures = default_value_study(ds, opts.vbar, opts.epsilon, opts.reps, opts.seed,
+                                                    workers=opts.workers)
+    header = {"vbars": list(opts.vbar), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
+              "seed": opts.seed, "dataset": ds.provenance}
+    emit(detail, opts.format, opts.out, config=header)
+    emit(summary, opts.format, _sibling_path(opts.out, "summary"), config=header)
     _print_failures(failures)
     for epsilon, ratio in sorted(default_value_spread_ratio(summary).items()):
         print(f"eps={epsilon:g}: mean-AE max/min across default values = {ratio:.3f}")
@@ -289,7 +269,7 @@ def _cmd_default_study(args) -> int:
 
 def _cmd_bounds(args) -> int:
     mechanisms = [entry.mechanism for entry in check_mechanisms(str(args.mechanisms).split(","))]
-    epsilons = _numbers(args.epsilon, "epsilon")
+    epsilons = _parse("epsilon", _numbers(float), args.epsilon)
     rows = []
     for mechanism in mechanisms:
         for epsilon in epsilons:
@@ -309,7 +289,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cost(args) -> int:
     rows = []
-    for d in _numbers(args.d, "d", int):
+    for d in _parse("d", _numbers(int), args.d):
         for mechanism in Mechanism:
             rows.append({
                 "d": d,
@@ -327,6 +307,12 @@ def _cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _add_options(parser, command: str):
+    for name in OPTIONS[command]:
+        parser.add_argument(f"--{name}")
+    parser.add_argument("--config", help="key=value file supplying defaults for the flags above")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,28 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("run", help="mechanism x epsilon x repetition sweep")
-    for flag in ("--dataset", "--mechanisms", "--epsilon", "--reps", "--seed", "--vbar",
-                 "--workers", "--d", "--n", "--out", "--format"):
-        p.add_argument(flag)
-    p.add_argument("--config", help="key=value file supplying defaults for the flags above")
+    _add_options(p, "run")
     p.add_argument("--per-key", action="store_true", help="also write per-key estimate rows")
     p.add_argument("--timing", action="store_true", help="include wall-time column (breaks byte determinism)")
     p.add_argument("--trace", help="directory for wire-format report traces (first epsilon)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("conditional", help="conditional frequency/mean experiment vs oracle")
-    for flag in ("--dims", "--epsilon", "--reps", "--seed", "--n", "--dataset",
-                 "--target", "--cond", "--method", "--workers", "--out", "--format"):
-        p.add_argument(flag)
-    p.add_argument("--config")
+    _add_options(p, "conditional")
     p.add_argument("--agg-out", help="persist the first cell's calibrated aggregate vector")
     p.set_defaults(func=_cmd_conditional)
 
     p = sub.add_parser("default-study", help="f2m default-value sensitivity study")
-    for flag in ("--dataset", "--vbar", "--epsilon", "--reps", "--seed", "--workers",
-                 "--d", "--n", "--out", "--format"):
-        p.add_argument(flag)
-    p.add_argument("--config")
+    _add_options(p, "default-study")
     p.set_defaults(func=_cmd_default_study)
 
     p = sub.add_parser("bounds", help="print closed-form error bound tables")

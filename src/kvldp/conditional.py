@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +45,17 @@ _MIN_CONDITIONING = 1e-12
 
 # Bits per row block of the peruser simulation (8 MB of uniforms).
 _PERUSER_BLOCK_ELEMENTS = 1 << 20
+
+# At most 18 digits, so int() never meets its digit limit.
+_KEY_NAME = re.compile("k([1-9][0-9]{0,17})")
+
+
+def parse_key_name(name: str) -> int:
+    """The 0-based index of a key named 'k' plus its 1-based index in ASCII digits, no leading zero."""
+    match = _KEY_NAME.fullmatch(name)
+    if match is None:
+        raise DomainError(f"a key name must look like k2, got {name!r}")
+    return int(match[1]) - 1
 
 
 def _check_dimension(d: int) -> int:
@@ -91,29 +104,26 @@ class Condition:
 
     @classmethod
     def parse(cls, text: str, d: int) -> "Condition":
-        """Parse 'k3=1,k1=0' (1-based key names) into a length-d condition."""
+        """Parse 'k3=1,k1=0' (1-based key names) into a length-d condition.
+
+        Each token has one spelling: a parse_key_name key name, '=', then
+        0 or 1, with no space inside it.
+        """
         alpha = [0] * d
         beta = [0] * d
         text = text.strip()
         if text:
             for token in text.split(","):
-                token = token.strip()
-                try:
-                    name, value = token.split("=")
-                    if not name.startswith("k"):
-                        raise ValueError
-                    key = int(name[1:]) - 1
-                    bit = int(value)
-                except ValueError as exc:
-                    raise DomainError(f"cannot parse condition token {token!r}; expected e.g. 'k3=1'") from exc
-                if not 0 <= key < d:
+                name, _, value = token.partition("=")
+                key = parse_key_name(name)
+                if value not in ("0", "1"):
+                    raise DomainError(f"cannot parse condition token {token!r}; expected e.g. 'k3=1'")
+                if key >= d:
                     raise DomainError(f"condition key {name} outside domain of size {d}")
-                if bit not in (0, 1):
-                    raise DomainError(f"condition value for {name} must be 0 or 1")
                 if alpha[key]:
                     raise DomainError(f"key {name} constrained twice")
                 alpha[key] = 1
-                beta[key] = bit
+                beta[key] = int(value)
         return cls(tuple(alpha), tuple(beta))
 
     def augmented(self, k: int) -> "Condition":
@@ -358,17 +368,24 @@ def save_aggregate(agg: AggregateVector, path, seed=None):
 
 def load_aggregate(path):
     """Inverse of save_aggregate; returns (AggregateVector, seed)."""
-    with open(path) as handle:
-        first = handle.readline()
-        if not first.startswith("# "):
-            raise DomainError(f"{path}: missing aggregate header line")
+    with open(path, encoding="utf-8") as handle:
         try:
+            first = handle.readline()
+            if not first.startswith("# "):
+                raise ValueError("missing aggregate header line")
             header = json.loads(first[2:])
-            d, n_users, epsilon = header["d"], int(header["n_users"]), float(header["epsilon"])
+            d, n_users, epsilon = header["d"], header["n_users"], header["epsilon"]
+            if bool in (type(d), type(n_users), type(epsilon)):
+                raise TypeError("a header field is a boolean")
+            d, n_users, epsilon = operator.index(d), operator.index(n_users), float(epsilon)
             values = np.array([float(line) for line in handle if line.strip()], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"{path}: malformed aggregate file: {exc!r}") from exc
+    if d < 1 or n_users < 0 or not 0.0 < epsilon < math.inf:
+        raise DomainError(f"{path}: header needs d >= 1, n_users >= 0 and a finite epsilon > 0")
     d = _check_dimension(d)
     if len(values) != 3 ** d:
         raise DomainError(f"{path}: expected 3^{d} values, found {len(values)}")
+    if not np.isfinite(values).all():
+        raise DomainError(f"{path}: non-finite aggregate value")
     return AggregateVector(values, n_users, d, epsilon), header.get("seed")

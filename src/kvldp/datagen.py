@@ -62,6 +62,8 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     which keeps them inside [-1, 1] and leaves the expected value exactly
     at the target (a clipped bell around m would bias extreme targets).
     """
+    if not value_spread >= 0.0:
+        raise DomainError(f"value spread must be a non-negative number, got {value_spread!r}")
     freq_targets = np.asarray(freq_targets, dtype=np.float64)
     mean_targets = np.asarray(mean_targets, dtype=np.float64)
     d = len(freq_targets)
@@ -92,27 +94,21 @@ def _check_sizes(d, n):
         raise DomainError(f"user count n must be a positive integer, got {n!r}")
 
 
-def gen_synthetic(dist: str, d: int, n: int, seed: int, value_spread: float = 0.1,
-                  freq_params=None, mean_params=None) -> Dataset:
+def gen_synthetic(dist: str, d: int, n: int, seed: int, value_spread: float = 0.1) -> Dataset:
     """Generate a dataset whose per-key frequency/mean targets follow the named law.
 
     dist='gaussian': f_k ~ Normal(0.5, 0.15) clipped to [0.05, 0.95] and
     m_k ~ Normal(0, 0.4) clipped to [-0.9, 0.9].  dist='uniform':
-    f_k ~ Uniform(0.05, 0.95) and m_k ~ Uniform(-0.9, 0.9).  Pass
-    freq_params/mean_params to override the law parameters.
+    f_k ~ Uniform(0.05, 0.95) and m_k ~ Uniform(-0.9, 0.9).
     """
     _check_sizes(d, n)
     rng = RandomSource(seed).generator()
     if dist == "gaussian":
-        loc, scale = freq_params or (0.5, 0.15)
-        freq_targets = np.clip(rng.normal(loc, scale, size=d), 0.05, 0.95)
-        loc, scale = mean_params or (0.0, 0.4)
-        mean_targets = np.clip(rng.normal(loc, scale, size=d), -0.9, 0.9)
+        freq_targets = np.clip(rng.normal(0.5, 0.15, size=d), 0.05, 0.95)
+        mean_targets = np.clip(rng.normal(0.0, 0.4, size=d), -0.9, 0.9)
     elif dist == "uniform":
-        lo, hi = freq_params or (0.05, 0.95)
-        freq_targets = rng.uniform(lo, hi, size=d)
-        lo, hi = mean_params or (-0.9, 0.9)
-        mean_targets = rng.uniform(lo, hi, size=d)
+        freq_targets = rng.uniform(0.05, 0.95, size=d)
+        mean_targets = rng.uniform(-0.9, 0.9, size=d)
     else:
         raise DomainError(f"unknown distribution {dist!r}; expected 'gaussian' or 'uniform'")
     values = _materialize(freq_targets, mean_targets, n, rng, value_spread)

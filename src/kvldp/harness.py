@@ -81,10 +81,11 @@ def check_mechanisms(names) -> list:
     return [PROTOCOLS[m] for m in names]
 
 
-def check_format(fmt):
-    """Raise ConfigError unless fmt is an output format emit writes."""
+def check_format(fmt) -> str:
+    """fmt itself; ConfigError unless it is an output format emit writes."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}; choose csv or json")
+    return fmt
 
 
 @dataclass(frozen=True)
@@ -332,9 +333,9 @@ def soft_checks(summary) -> list:
     return messages
 
 
-def key_sampling_tolerance(frequency: float, d: int, n: int, sigmas: float = 3.0) -> float:
-    """Pure key-sampling noise floor: each key draws about n/d reports."""
-    return sigmas * math.sqrt(frequency * (1.0 - frequency) * d / n)
+def key_sampling_tolerance(frequency: float, d: int, n: int) -> float:
+    """Three sigmas of pure key-sampling noise: each key draws about n/d reports."""
+    return 3.0 * math.sqrt(frequency * (1.0 - frequency) * d / n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """End-to-end CLI tests driving kvldp.cli.main with in-process argv."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvldp import cli
 from kvldp.cli import main
 from kvldp.conditional import Condition, conditional_frequency, conditional_mean, load_aggregate
 from kvldp.datagen import load_dataset
-from kvldp.harness import parse_table
+from kvldp.harness import ConfigError, ExperimentConfig, parse_table
 
 
 def test_generate_and_run_sweep(tmp_path, capsys):
@@ -252,3 +255,93 @@ def test_json_output_format(tmp_path):
     header, rows = parse_table(out)
     assert rows[0]["mechanism"] == "kvue"
     assert header["epsilons"] == [1.0]
+
+
+_LONG_FLAGS = {
+    "run": {"--dataset", "--mechanisms", "--epsilon", "--reps", "--seed", "--vbar", "--workers", "--d",
+            "--n", "--out", "--format", "--config", "--per-key", "--timing", "--trace"},
+    "conditional": {"--dims", "--epsilon", "--reps", "--seed", "--n", "--dataset", "--target", "--cond",
+                    "--method", "--workers", "--out", "--format", "--config", "--agg-out"},
+    "default-study": {"--dataset", "--vbar", "--epsilon", "--reps", "--seed", "--workers", "--d", "--n",
+                      "--out", "--format", "--config"},
+}
+_COMMAND_LINE_ONLY = {"--config", "--per-key", "--timing", "--trace", "--agg-out"}
+
+
+@pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
+def test_table_commands_take_exactly_their_long_flags_and_config_keys(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    assert flags - {"-h", "--help"} == _LONG_FLAGS[command]
+    assert {f"--{key}" for key in cli.OPTIONS[command]} == _LONG_FLAGS[command] - _COMMAND_LINE_ONLY
+
+
+def _options_of(argv):
+    return cli._options(cli.build_parser().parse_args(argv))
+
+
+def test_run_defaults_are_those_of_experiment_config():
+    options = _options_of(["run", "--out", "x.csv"])
+    defaults = ExperimentConfig()
+    assert (options.mechanisms, options.epsilon, options.reps, options.seed, options.vbar, options.workers) == (
+        defaults.mechanisms, defaults.epsilons, defaults.repetitions, defaults.seed, defaults.default_value,
+        defaults.workers)
+
+
+@pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
+def test_an_unknown_config_key_is_a_config_error_naming_it(tmp_path, capsys, command):
+    # "rep=3" used to be ignored: the command ran its default repetitions and exited 0.
+    config_file = tmp_path / "exp.conf"
+    config_file.write_text("epsilon=1\nrep=3\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "line 2: unknown key 'rep'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
+def test_a_config_file_that_is_not_utf8_text_is_a_config_error(tmp_path, capsys, command):
+    # Used to escape as a UnicodeDecodeError traceback.
+    config_file = tmp_path / "exp.conf"
+    config_file.write_bytes(b"reps=3\n\xff\xfe\x00\n")
+    assert main([command, "--config", str(config_file), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "exp.conf: not a UTF-8 text file" in err
+
+
+@pytest.mark.parametrize("target", ["k+2", "k02", "k1_0", "k\u0662", "k2 ", "2", "k0", "K2", ""])
+def test_conditional_target_has_one_spelling(tmp_path, capsys, target):
+    assert main(["conditional", "--dims", "2", "--epsilon", "4", "--reps", "1", "--n", "200",
+                 "--target", target, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "must look like k2" in err
+
+
+def test_generate_rejects_a_nan_spread_as_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--dist", "gaussian", "--d", "3", "--n", "5", "--spread", "nan",
+                 "--out", str(out)]) == 3
+    assert "error[domain]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CONFIG_KEYS = sorted({key for table in cli.OPTIONS.values() for key in table})
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = "]),
+              st.text("0123456789.,-+ek:regimhlowcsvjnaf\u0662 ", max_size=8)).map("".join),
+    st.sampled_from(["", "  ", "# comment", "rep=3", "=1", "reps"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_LONG_FLAGS)), st.lists(_CONFIG_LINES, max_size=4).map("\n".join))
+def test_config_file_fuzz_ends_in_resolved_options_or_a_config_error(tmp_path_factory, command, text):
+    config_file = tmp_path_factory.mktemp("conf") / "exp.conf"
+    config_file.write_text(text, encoding="utf-8", newline="")
+    try:
+        options = _options_of([command, "--config", str(config_file), "--out", "x.csv"])
+    except ConfigError:
+        return
+    assert set(vars(options)) == set(cli.OPTIONS[command]) and options.out == "x.csv"

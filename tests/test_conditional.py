@@ -19,6 +19,7 @@ from kvldp.conditional import (
     ioh_index_population,
     load_aggregate,
     mean_index_sets,
+    parse_key_name,
     save_aggregate,
     simulate_ioh_bit_sums,
 )
@@ -328,6 +329,9 @@ def test_condition_parse_and_validation():
     assert cond.alpha == (1, 0, 1)
     assert cond.beta == (0, 0, 1)
     assert Condition.parse("", 2) == Condition.empty(2)
+    cond = Condition.parse(" k10=1,k2=0\n", 12)
+    assert (cond.alpha[1], cond.beta[1], cond.alpha[9], cond.beta[9]) == (1, 0, 1, 1)
+    assert parse_key_name("k12") == 11
     for bad in ("k4=1", "k0=1", "k1=2", "k1=1,k1=0", "banana"):
         with pytest.raises(DomainError):
             Condition.parse(bad, 3)
@@ -338,6 +342,14 @@ def test_condition_parse_and_validation():
     augmented = Condition.parse("k1=1", 3).augmented(2)
     assert augmented.alpha == (1, 0, 1)
     assert augmented.beta == (1, 0, 1)
+
+
+@pytest.mark.parametrize("text", ["k+2=1", "k\u0662=1", "k02=+1", "k02=1", "k2=+1", "k2=01", "k2 = 1",
+                                  "k2=1 ,k1=0", "k2=1, k1=0", "k1_0=1", "K2=1", "k2=1=1", "k2", "k2=", ",",
+                                  "k" + "1" * 5000 + "=1"])
+def test_condition_parse_accepts_one_spelling_of_a_token(text):
+    with pytest.raises(DomainError):
+        Condition.parse(text, 12)
 
 
 def test_aggregate_persistence_round_trip(tmp_path):

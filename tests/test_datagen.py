@@ -102,6 +102,16 @@ def test_gen_regime_validation():
         gen_regime("high", "sideways", 5, 10, seed=0)
 
 
+@pytest.mark.parametrize("spread", [math.nan, -0.1, -math.inf])
+def test_generators_reject_a_nan_or_negative_value_spread(spread):
+    # A NaN spread used to give an all-absent dataset and a header reading NaN.
+    with pytest.raises(DomainError, match="value spread"):
+        gen_synthetic("gaussian", 3, 5, seed=0, value_spread=spread)
+    with pytest.raises(DomainError, match="value spread"):
+        gen_regime("high", "low", 3, 5, seed=0, value_spread=spread)
+    assert gen_regime("high", "low", 3, 5, seed=0, value_spread=0.0).n == 5
+
+
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ the new code to their exact bytes and Report lists.
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -470,6 +471,64 @@ def test_load_aggregate_rejects_missing_header_key(tmp_path):
     path.write_text('# {"d": 2, "epsilon": 1.0, "n_users": 100}\n' + "x\n" * 9)
     with pytest.raises(DomainError):
         load_aggregate(path)
+
+
+_GOOD_HEADER = '# {"d": 1, "epsilon": 1.0, "n_users": 10, "seed": 3}\n'
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00junk\n",
+    (_GOOD_HEADER + "0\n").encode() + b"\xff\n1\n",
+    (_GOOD_HEADER + "0\nnan\n1\n").encode(),
+    (_GOOD_HEADER + "0\n-inf\n1\n").encode(),
+    b'# {"d": true, "epsilon": 1.0, "n_users": 10}\n0\n1\n2\n',
+    b'# {"d": 1, "epsilon": 1.0, "n_users": 10.5}\n0\n1\n2\n',
+    b'# {"d": 1, "epsilon": true, "n_users": 10}\n0\n1\n2\n',
+    b'# {"d": 1, "epsilon": -1.0, "n_users": 10}\n0\n1\n2\n',
+    b'# {"d": 1, "epsilon": 1e999, "n_users": 10}\n0\n1\n2\n',
+    b'# {"d": 0, "epsilon": 1.0, "n_users": 10}\n',
+])
+def test_load_aggregate_rejects_a_bad_file_naming_it(tmp_path, content):
+    path = tmp_path / "agg.txt"
+    path.write_bytes(content)
+    with pytest.raises(DomainError, match="agg.txt"):
+        load_aggregate(path)
+    path.write_bytes((_GOOD_HEADER + "0\n-2.5\n1\n").encode())
+    agg, seed = load_aggregate(path)
+    assert (agg.values.tolist(), agg.n_users, agg.d, agg.epsilon, seed) == ([0.0, -2.5, 1.0], 10, 1, 1.0, 3)
+
+
+_AGGREGATE_HEADERS = st.one_of(
+    st.fixed_dictionaries({"d": st.just(1), "epsilon": st.floats(), "n_users": st.integers(-1, 10**6)},
+                          optional={"seed": st.one_of(st.integers(), st.none(), st.text(max_size=3))}),
+    st.fixed_dictionaries({}, optional={
+        "d": st.one_of(st.integers(-1, 13), st.booleans(), st.floats(), st.text(max_size=2)),
+        "epsilon": st.one_of(st.integers(-2, 10**400), st.booleans(), st.none(), st.text(max_size=2)),
+        "n_users": st.one_of(st.integers(-2, 10**30), st.floats(), st.booleans()),
+    }),
+)
+_AGGREGATE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(
+        _AGGREGATE_HEADERS.map(lambda header: "# " + json.dumps(header) + "\n"),
+        st.lists(st.floats().map(repr), min_size=2, max_size=4).map("\n".join),
+        st.one_of(st.just(""), st.text("0123456789.e-+naif \n", max_size=5)),
+        st.one_of(st.just(b""), st.binary(max_size=3)),
+    ).map(lambda parts: "".join(parts[:3]).encode() + parts[3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_AGGREGATE_BYTES)
+def test_load_aggregate_fuzz_ends_in_an_aggregate_or_a_domain_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("agg") / "agg.txt"
+    path.write_bytes(content)
+    try:
+        agg, _ = load_aggregate(path)
+    except DomainError:
+        return
+    assert agg.values.shape == (3 ** agg.d,) and np.isfinite(agg.values).all()
+    assert agg.n_users >= 0 and 0 < agg.epsilon < math.inf
 
 
 # ---------------------------------------------------------------------------
