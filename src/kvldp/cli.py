@@ -48,8 +48,12 @@ _DATASET_TAG = 9
 
 
 def _numbers(kind):
-    """A parser of comma-separated numbers of one kind; empty items are skipped."""
-    return lambda text: tuple(kind(tok) for tok in text.split(",") if tok.strip())
+    """A parser of comma-separated numbers of one kind; empty items are skipped, but one number is needed."""
+    def parse(text):
+        if not (numbers := tuple(kind(tok) for tok in text.split(",") if tok.strip())):
+            raise ValueError("no number given")
+        return numbers
+    return parse
 
 
 def _parse(name: str, parse, text):
@@ -223,8 +227,8 @@ def _cmd_conditional(args) -> int:
     for di, d in enumerate(opts.dims):
         if opts.dataset is not None:
             ds = _dataset_from_spec(opts.dataset, d, opts.n, opts.seed)
-            if ds.d != d and len(opts.dims) > 1:
-                raise ConfigError("an explicit dataset file cannot serve multiple --dims")
+            if ds.d != d:
+                raise ConfigError(f"--dims {d} does not match the {ds.d} keys of dataset {opts.dataset}")
         else:
             gen_seed = RandomSource(opts.seed).substream(_DATASET_TAG, di).stream_id
             ds = gen_regime("high", "low", d, opts.n, gen_seed)
@@ -247,7 +251,7 @@ def _cmd_conditional(args) -> int:
                                args.agg_out, seed=opts.seed)
     emit(all_rows, opts.format, opts.out,
          config={"dims": list(opts.dims), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
-                 "seed": opts.seed, "n": opts.n, "method": opts.method})
+                 "seed": opts.seed, "n": ds.n, "method": opts.method})
     print(f"wrote {len(all_rows)} rows to {opts.out}")
     return 0
 

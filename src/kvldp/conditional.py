@@ -35,6 +35,7 @@ from .core import (
     ensure_generator,
     flip_keep_probability,
     row_blocks,
+    state_digits,
 )
 
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
@@ -178,11 +179,10 @@ class IOHSample(NamedTuple):
 def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
     """Base-3 record index of every row of a (n, d) value matrix with NaN = absent.
 
-    Key 0 is the most significant digit.  Each present value is discretized
-    (one draw per cell, whether present or not) so its digit is 0 or 2;
-    an absent key contributes digit 1.  Rows are indexed in blocks, so the
-    float temporaries stay block-sized while the draws are those of one
-    (n, d) draw.
+    Key 0 is the most significant digit, and each digit is the cell's
+    state_digits digit.  Rows are indexed in blocks, so the float
+    temporaries stay block-sized while the draws are those of one (n, d)
+    draw.
     """
     n, d = values.shape
     d = _check_dimension(d)
@@ -190,13 +190,7 @@ def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
     powers = 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)
     index = np.empty(n, dtype=np.int64)
     for rows in row_blocks(n, d):
-        block = values[rows]
-        u = g.random(block.shape)
-        present = ~np.isnan(block)
-        # digit = key_bit * value_sign + 1; an absent value's NaN threshold compares false.
-        positive = u < (1.0 + block) / 2.0
-        digits = 1 + present * (positive.view(np.int8) * 2 - 1)
-        index[rows] = digits @ powers
+        index[rows] = state_digits(values[rows], g) @ powers
     return index
 
 

@@ -143,7 +143,8 @@ class DiscretizedState(enum.IntEnum):
     POS = 2
 
 
-def _check_epsilon(epsilon: float) -> float:
+def check_epsilon(epsilon: float) -> float:
+    """epsilon as a float; DomainError unless it is a positive finite real."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive finite real, got {epsilon!r}")
     return float(epsilon)
@@ -154,71 +155,23 @@ def flip_keep_probability(epsilon: float) -> float:
 
     Computed as 1 / (1 + e^-eps) so large budgets cannot overflow.
     """
-    epsilon = _check_epsilon(epsilon)
-    return 1.0 / (1.0 + math.exp(-epsilon))
+    return 1.0 / (1.0 + math.exp(-check_epsilon(epsilon)))
 
 
-# Perturbation primitives over arrays.  Each consumes the stream of a single
-# generator with a fixed number of draws per call, so a population encode
-# is exactly reproducible for a given (seed, stream_id); one user is a
-# one-element array.
+def state_digits(values: np.ndarray, rng) -> np.ndarray:
+    """The int8 DiscretizedState digit of every value, NaN marking an absent key.
 
-
-def discretize_array(values: np.ndarray, rng) -> np.ndarray:
-    """Round each v in [-1, 1] to +-1 with Pr[+1] = (1 + v) / 2; an int8 array.
-
-    The expectation of each output equals v, which is what makes downstream
-    count-based mean estimators unbiased.
+    One uniform u per value, drawn whether the key is present or not, in
+    row-major order.  A present v in [-1, 1] has sign +1 when u < (1 + v) / 2,
+    so Pr[+1] = (1 + v) / 2 and the sign's expectation is v; an absent
+    value's NaN threshold compares false and its digit is ABSENT.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.all((values >= -1.0) & (values <= 1.0)):
+    if np.fmin.reduce(values, axis=None, initial=0.0) < -1.0 or np.fmax.reduce(values, axis=None, initial=0.0) > 1.0:
         raise DomainError("values must be finite reals in [-1, 1]")
-    g = ensure_generator(rng)
-    u = g.random(values.shape)
-    return (u < (1.0 + values) / 2.0).view(np.int8) * 2 - 1
-
-
-def rr_bit_array(bits: np.ndarray, epsilon: float, rng) -> np.ndarray:
-    """Binary randomized response on a 0/1 array: each bit kept w.p. e^eps/(e^eps+1)."""
-    p = flip_keep_probability(epsilon)
-    bits = np.asarray(bits)
-    if not np.all((bits == 0) | (bits == 1)):
-        raise DomainError("bits must be 0 or 1")
-    g = ensure_generator(rng)
-    keep = g.random(bits.shape) < p
-    return (keep == (bits == 1)).view(np.int8)
-
-
-def rr_sign_array(signs: np.ndarray, epsilon: float, rng) -> np.ndarray:
-    """Randomized response on a +-1 array: each sign kept w.p. e^eps/(e^eps+1)."""
-    p = flip_keep_probability(epsilon)
-    g = ensure_generator(rng)
-    signs = np.asarray(signs)
-    keep = g.random(signs.shape) < p
-    return (signs * (keep.view(np.int8) * 2 - 1)).astype(np.int8, copy=False)
-
-
-def direct_encode_array(xs: np.ndarray, K: int, epsilon: float, rng) -> np.ndarray:
-    """Generalized randomized response over the categories [0, K).
-
-    Keeps each true category with probability e^eps/(e^eps+K-1) and reports
-    each other category with probability (1-p)/(K-1).  K=2 reduces to the
-    binary randomized response.
-    """
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise DomainError(f"domain size K must be an integer >= 2, got {K!r}")
-    epsilon = _check_epsilon(epsilon)
-    p = 1.0 / (1.0 + (K - 1) * math.exp(-epsilon))
-    xs = np.asarray(xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= K):
-        raise DomainError(f"categories must lie in [0, {K})")
-    g = ensure_generator(rng)
-    keep = g.random(xs.shape) < p
-    offsets = g.integers(1, K, size=xs.shape)
-    # A flipped category moves by its offset modulo K; a kept one by 0.
-    moved = xs + offsets * ~keep
-    moved -= K * (moved >= K)
-    return moved
+    u = ensure_generator(rng).random(values.shape)
+    signs = (u < (1.0 + values) / 2.0).view(np.int8) * 2 - 1
+    return (~np.isnan(values)).view(np.int8) * signs + 1
 
 
 @contextlib.contextmanager

@@ -417,7 +417,7 @@ def load_dataset(path) -> Dataset:
             header = _read_header(path, first[len(_DATASET_MAGIC):])
             try:
                 values = np.full((header["n"], header["d"]), np.nan)
-            except MemoryError as exc:
+            except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
                 raise CapacityError(f"{path}: line 1: header n x d = {header['n']} x {header['d']} "
                                     "does not fit in memory") from exc
             lineno = 2

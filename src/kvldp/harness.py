@@ -535,27 +535,30 @@ def _parse_cell(text: str):
 
 
 def parse_table(path):
-    """Read back an emitted table; returns (config or None, list of row dicts)."""
-    with open(path) as handle:
-        content = handle.read()
-    if content.lstrip().startswith("{"):
-        document = json.loads(content)
-        columns = document["columns"]
-        rows = [
-            {c: (math.nan if cell is None else cell) for c, cell in zip(columns, row)}
-            for row in document["rows"]
-        ]
-        return document.get("config"), rows
-    config = None
-    lines = content.splitlines()
-    start = 0
-    if lines and lines[0].startswith("# kvldp "):
-        config = json.loads(lines[0][len("# kvldp "):])
-        start = 1
-    reader = csv.reader(lines[start:])
-    header = next(reader)
-    rows = [{c: _parse_cell(cell) for c, cell in zip(header, row)} for row in reader if row]
-    return config, rows
+    """Read back an emitted table as (config or None, row dicts); DomainError naming the file if it is none."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            content = handle.read()
+        if content.lstrip().startswith("{"):
+            document = json.loads(content)
+            columns = document["columns"]
+            rows = [
+                {c: (math.nan if cell is None else cell) for c, cell in zip(columns, row)}
+                for row in document["rows"]
+            ]
+            return document.get("config"), rows
+        config = None
+        lines = content.splitlines()
+        start = 0
+        if lines and lines[0].startswith("# kvldp "):
+            config = json.loads(lines[0][len("# kvldp "):])
+            start = 1
+        reader = csv.reader(lines[start:])
+        header = next(reader)
+        rows = [{c: _parse_cell(cell) for c, cell in zip(header, row)} for row in reader if row]
+        return config, rows
+    except (ValueError, KeyError, TypeError, StopIteration, RecursionError, csv.Error) as exc:
+        raise DomainError(f"{path}: not an emitted kvldp table: {exc!r}") from exc
 
 
 def population_report_lines(mechanism: str, encoded) -> list:

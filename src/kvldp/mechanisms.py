@@ -18,12 +18,12 @@ recover per-key frequency and mean estimates.
   kvoh    - the ternary state one-hot encoded into 3 bits, each bit
             flipped independently with budget eps/2.
 
-The *_population encoders privatize a whole (n, d) population at once,
-drawing a fixed number of variates from one generator; one user is a
-1-row matrix.  Decoders work on per-key tallies, one row per key.
-
-PROTOCOLS maps each mechanism name, privkv-improved included, to its wire
-form, sampler, decoder and state channel.
+Each mechanism is one channel table Pr[payload code | true state digit].
+PROTOCOLS maps each name, privkv-improved included, to its wire form,
+code-table tally, channel and decoder.  One sampler draws every mechanism's
+reports from that very table, the one worst_case_ratio audits, into one
+ReportBatch; the *_encode_population names call it with their channel.
+Decoders work on per-key tallies, one row per key.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from .core import (
     DomainError,
     IllConditionedError,
     PrivacyBudget,
-    direct_encode_array,
+    check_epsilon,
     ensure_generator,
     flip_keep_probability,
-    rr_bit_array,
-    rr_sign_array,
+    state_digits,
 )
 
 _MIN_CONDITIONING = 1e-12
@@ -70,13 +69,15 @@ class Mechanism(str, enum.Enum):
 class PayloadTable:
     """One mechanism's wire payloads; a payload's position is its packed code.
 
-    Report validation, the wire lines, bit packing and trace rendering all
-    read this one table: text <-> Report payload value <-> packed code.
+    Report validation, the wire lines, bit packing, trace rendering and the
+    report batch views all read this one table: text <-> Report payload
+    value <-> packed code.  array holds the values as int8 rows.
     """
 
     def __init__(self, texts, values):
         self.texts = tuple(texts)
         self.values = tuple(values)
+        self.array = np.array(self.values, dtype=np.int8)
         self.bits = (len(self.texts) - 1).bit_length()
         self.code_of_text = {text: code for code, text in enumerate(self.texts)}
         self.code_of_value = {value: code for code, value in enumerate(self.values)}
@@ -156,110 +157,72 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized population encoders
+# The table sampler
 # ---------------------------------------------------------------------------
 #
-# All take a (n, d) float matrix with NaN marking absent keys (the dense
-# form datasets use) and one generator; the number and order of draws is
-# fixed, so a fixed (seed, stream) reproduces the cell bit-for-bit no
-# matter how cells are scheduled across workers.  A batch's codes are its
-# payloads as rows of the mechanism's PAYLOADS table.
+# Every mechanism samples from its channel table Pr[payload code | true
+# state digit], the table worst_case_ratio audits.  A population is a (n, d)
+# float matrix with NaN marking absent keys (the dense form datasets use);
+# one user is a 1-row matrix.  Each report takes one key index, then one
+# uniform for its state digit and one for its payload code, so a fixed
+# (seed, stream) reproduces the cell bit-for-bit however cells are scheduled.
 
 
-class TernaryReports(NamedTuple):
+class ReportBatch(NamedTuple):
+    """A population's reports: sampled key, payload code and true state digit per user.
+
+    A code is a position in PAYLOADS[mechanism]; states (privkv, kvue),
+    key_bits and signs (f2m) and bits (kvoh) are the payload values read
+    off that table.
+    """
+
+    mechanism: Mechanism
     key_index: np.ndarray
-    states: np.ndarray
+    codes: np.ndarray
     true_states: np.ndarray
 
-    codes = property(lambda self: self.states)
+    @property
+    def payloads(self) -> np.ndarray:
+        return PAYLOADS[self.mechanism].array.take(self.codes, axis=0)
+
+    states = bits = payloads
+    key_bits = property(lambda self: self.payloads[:, 0])
+    signs = property(lambda self: self.payloads[:, 1])
 
 
-class F2MReports(NamedTuple):
-    key_index: np.ndarray
-    key_bits: np.ndarray
-    signs: np.ndarray
-    true_states: np.ndarray
-
-    codes = property(lambda self: _f2m_codes(self.key_bits, self.signs))
-
-
-class KVOHReports(NamedTuple):
-    key_index: np.ndarray
-    bits: np.ndarray
-    true_states: np.ndarray
-
-    codes = property(lambda self: _kvoh_codes(self.bits))
-
-
-_ONE_HOT = np.eye(3, dtype=bool)  # row s is the kvoh one-hot of state digit s
-
-
-def _gather_sampled(values: np.ndarray, g: np.random.Generator):
+def sample(mechanism: Mechanism, values: np.ndarray, channel: np.ndarray, rng) -> ReportBatch:
+    """Each user's report: a uniform key index, its state digit, then a code drawn by inverse CDF over channel[state]."""
+    channel = np.asarray(channel, dtype=np.float64)
+    if channel.shape != (3, len(PAYLOADS[mechanism].values)) or not channel.min() >= 0.0:
+        raise DomainError(f"a {mechanism.value} channel is a non-negative (3, {len(PAYLOADS[mechanism].values)}) table")
+    # Code c is drawn for u in [cdf[c - 1], cdf[c]); a zero-mass tail's threshold is exactly 1.
+    cdf = np.cumsum(channel[:, :-1], axis=1)
+    cdf[np.cumsum(channel[:, :0:-1], axis=1)[:, ::-1] == 0.0] = 1.0
+    g = ensure_generator(rng)
     n, d = values.shape
     key_index = g.integers(0, d, size=n)
-    sampled = values.reshape(-1).take(np.arange(0, n * d, d) + key_index)
-    present = ~np.isnan(sampled)
-    return key_index, sampled, present
+    states = state_digits(values.reshape(-1).take(np.arange(0, n * d, d) + key_index), g)
+    u, rows = g.random(n), states.astype(np.intp)  # an intp index spares take() a cast per column
+    codes = np.zeros(n, dtype=np.uint8)
+    for column in cdf.T:
+        codes += u >= column.take(rows)
+    return ReportBatch(mechanism, key_index, codes, states)
 
 
-def _discretize_sampled(sampled: np.ndarray, present: np.ndarray, fill, g: np.random.Generator) -> np.ndarray:
-    """discretize_array of the sampled values with fill in place of the absent (NaN) ones.
-
-    Thresholds instead of selecting the fill: an absent value's own
-    threshold is NaN, which compares false, so one draw per report gives
-    the same signs as discretizing the filled array.
-    """
-    if np.fmin.reduce(sampled, initial=0.0) < -1.0 or np.fmax.reduce(sampled, initial=0.0) > 1.0:
-        raise DomainError("values must be finite reals in [-1, 1]")
-    u = g.random(sampled.shape)
-    positive = u < (1.0 + sampled) / 2.0
-    positive |= ~present & (u < (1.0 + fill) / 2.0)
-    return positive.view(np.int8) * 2 - 1
+def lpp_encode_population(values: np.ndarray, budget: PrivacyBudget, rng) -> ReportBatch:
+    return sample(Mechanism.PRIVKV, values, lpp_channel(budget), rng)
 
 
-def _digits(present: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """State digit key_bit * value_sign + 1 of +-1 int8 signs."""
-    return present.view(np.int8) * signs + 1
+def f2m_encode_population(values: np.ndarray, budget: PrivacyBudget, default_value: float, rng) -> ReportBatch:
+    return sample(Mechanism.F2M, values, f2m_state_channel(budget, default_value), rng)
 
 
-def lpp_encode_population(values: np.ndarray, budget: PrivacyBudget, rng) -> TernaryReports:
-    g = ensure_generator(rng)
-    key_index, sampled, present = _gather_sampled(values, g)
-    placeholder = g.uniform(-1.0, 1.0, size=sampled.shape)
-    v_star = _discretize_sampled(sampled, present, placeholder, g)
-    v_prime = rr_sign_array(v_star, budget.epsilon_value, g)
-    keep = g.random(sampled.shape) < flip_keep_probability(budget.epsilon_key)
-    return TernaryReports(key_index, _digits(present == keep, v_prime), _digits(present, v_star))
+def kvue_encode_population(values: np.ndarray, epsilon: float, rng) -> ReportBatch:
+    return sample(Mechanism.KVUE, values, kvue_channel(epsilon), rng)
 
 
-def f2m_encode_population(values: np.ndarray, budget: PrivacyBudget, default_value: float, rng) -> F2MReports:
-    if not -1.0 <= default_value <= 1.0:
-        raise DomainError(f"default value must lie in [-1, 1], got {default_value!r}")
-    g = ensure_generator(rng)
-    key_index, sampled, present = _gather_sampled(values, g)
-    key_bits = rr_bit_array(present, budget.epsilon_key, g)
-    v_star = _discretize_sampled(sampled, present, default_value, g)
-    signs = rr_sign_array(v_star, budget.epsilon_value, g)
-    return F2MReports(key_index, key_bits, signs, _digits(present, v_star))
-
-
-def kvue_encode_population(values: np.ndarray, epsilon: float, rng) -> TernaryReports:
-    g = ensure_generator(rng)
-    key_index, sampled, present = _gather_sampled(values, g)
-    true_states = _digits(present, _discretize_sampled(sampled, present, 0.0, g))
-    states = direct_encode_array(true_states, 3, epsilon, g).astype(np.int8)
-    return TernaryReports(key_index, states, true_states)
-
-
-def kvoh_encode_population(values: np.ndarray, epsilon: float, rng) -> KVOHReports:
-    g = ensure_generator(rng)
-    key_index, sampled, present = _gather_sampled(values, g)
-    true_states = _digits(present, _discretize_sampled(sampled, present, 0.0, g))
-    p = flip_keep_probability(float(epsilon) / 2.0)
-    onehot = _ONE_HOT.take(true_states, axis=0)
-    u = g.random((sampled.shape[0], 3))
-    bits = (onehot & (u < p)) | (~onehot & (u < 1.0 - p))
-    return KVOHReports(key_index, bits.view(np.int8), true_states)
+def kvoh_encode_population(values: np.ndarray, epsilon: float, rng) -> ReportBatch:
+    return sample(Mechanism.KVOH, values, kvoh_channel(epsilon), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +238,6 @@ def _checked_codes(codes, size: int, what: str) -> np.ndarray:
         if low < 0 or high >= size:
             raise DomainError(f"{what} must lie in [0, {size}), found {low}..{high}")
     return codes
-
-
-# Row c holds the three bits of kvoh payload code c, most significant first.
-_KVOH_BIT_OF_CODE = np.array(PAYLOADS[Mechanism.KVOH].values, dtype=np.int64)
 
 
 def _f2m_codes(key_bits, signs) -> np.ndarray:
@@ -302,7 +261,8 @@ def _f2m_tally(table: np.ndarray):
 
 
 def _kvoh_tally(table: np.ndarray):
-    return table @ _KVOH_BIT_OF_CODE, table.sum(axis=1)
+    # Row c of the payload array holds the three bits of code c, most significant first.
+    return table @ PAYLOADS[Mechanism.KVOH].array, table.sum(axis=1)
 
 
 def code_table(mechanism: Mechanism, key_index, codes, d: int) -> np.ndarray:
@@ -639,7 +599,7 @@ def unpack_reports(data: bytes, mechanism: Mechanism, count: int, d: int):
 
 def rr_channel(epsilon: float) -> np.ndarray:
     """(2, 2) binary randomized response table Pr[output bit | input bit]."""
-    w = math.exp(-float(epsilon))
+    w = math.exp(-check_epsilon(epsilon))
     p, q = 1.0 / (1.0 + w), w / (1.0 + w)
     return np.array([[p, q], [q, p]])
 
@@ -651,10 +611,17 @@ def f2m_channel(budget: PrivacyBudget) -> np.ndarray:
 
 def _pair_of_state(default_value: float) -> np.ndarray:
     """(3, 4) Pr[(key bit, value sign) | state digit]; an absent key's sign is default_value discretized."""
+    if not -1.0 <= default_value <= 1.0:
+        raise DomainError(f"default value must lie in [-1, 1], got {default_value!r}")
     rows = np.zeros((3, 4))
     rows[NEG, 2] = rows[POS, 3] = 1.0
     rows[ABSENT, :2] = (1.0 - default_value) / 2.0, (1.0 + default_value) / 2.0
     return rows
+
+
+def f2m_state_channel(budget: PrivacyBudget, default_value: float) -> np.ndarray:
+    """(3, 4) table Pr[(key bit, value sign) | state digit] of f2m."""
+    return _pair_of_state(default_value) @ f2m_channel(budget)
 
 
 # Row c is the state digit privkv reports for (key bit, value sign) pair c.
@@ -671,7 +638,7 @@ def lpp_channel(budget: PrivacyBudget) -> np.ndarray:
 
 def kvue_channel(epsilon: float) -> np.ndarray:
     """(3, 3) generalized randomized response table with keep e^eps/(e^eps+2)."""
-    w = math.exp(-float(epsilon))
+    w = math.exp(-check_epsilon(epsilon))
     keep = 1.0 / (1.0 + 2.0 * w)
     other = w / (1.0 + 2.0 * w)
     table = np.full((3, 3), other)
@@ -704,17 +671,20 @@ def worst_case_ratio(table: np.ndarray) -> float:
 
 
 class Protocol(NamedTuple):
-    """One mechanism name: its wire form, sampler, decoder and state channel.
+    """One mechanism name: its wire form, code-table tally, state channel and decoder.
 
     A code table counts reports per (key, payload code), shape (d, |payloads|).
     """
 
     mechanism: Mechanism  # the wire form of its reports
-    encode: Callable  # (values, epsilon, default_value, g) -> report batch
     tally: Callable  # code table -> decoder inputs, as tally_reports returns them
     channel: Callable  # (epsilon, default_value) -> (3, |payloads|) Pr[payload code | true state digit]
     estimate: Optional[Callable] = None  # (code table, epsilon) -> (d, 3) state counts
     nonlinear: Optional[Callable] = None  # (code table, epsilon, default_value) -> as decode
+
+    def encode(self, values, epsilon, default_value, rng) -> ReportBatch:
+        """A population's reports, sampled from the very table channel() returns."""
+        return sample(self.mechanism, values, self.channel(epsilon, default_value), rng)
 
     def decode(self, table, epsilon, default_value):
         """(frequency, mean, defined) per key of a code table."""
@@ -727,10 +697,8 @@ def _unchanged(table):
     return table
 
 
-# The two privkv names share the sampler, wire form and channel; only the decoder differs.
-_LPP = Protocol(Mechanism.PRIVKV,
-                lambda values, eps, vbar, g: lpp_encode_population(values, PrivacyBudget.split(eps), g),
-                _unchanged, lambda eps, vbar: lpp_channel(PrivacyBudget.split(eps)))
+# The two privkv names share the wire form and channel; only the decoder differs.
+_LPP = Protocol(Mechanism.PRIVKV, _unchanged, lambda eps, vbar: lpp_channel(PrivacyBudget.split(eps)))
 
 PROTOCOLS = {
     "privkv": _LPP._replace(
@@ -738,14 +706,10 @@ PROTOCOLS = {
     "privkv-improved": _LPP._replace(
         estimate=lambda table, eps: privkv_decode_improved_array(table, PrivacyBudget.split(eps))),
     "f2m": Protocol(
-        Mechanism.F2M, lambda values, eps, vbar, g: f2m_encode_population(values, PrivacyBudget.split(eps), vbar, g),
-        _f2m_tally, lambda eps, vbar: _pair_of_state(vbar) @ f2m_channel(PrivacyBudget.split(eps)),
+        Mechanism.F2M, _f2m_tally, lambda eps, vbar: f2m_state_channel(PrivacyBudget.split(eps), vbar),
         nonlinear=lambda table, eps, vbar: f2m_decode_array(*_f2m_tally(table), PrivacyBudget.split(eps), vbar)),
-    "kvue": Protocol(
-        Mechanism.KVUE, lambda values, eps, vbar, g: kvue_encode_population(values, eps, g),
-        _unchanged, lambda eps, vbar: kvue_channel(eps), estimate=kvue_decode_array),
+    "kvue": Protocol(Mechanism.KVUE, _unchanged, lambda eps, vbar: kvue_channel(eps), estimate=kvue_decode_array),
     "kvoh": Protocol(
-        Mechanism.KVOH, lambda values, eps, vbar, g: kvoh_encode_population(values, eps, g),
-        _kvoh_tally, lambda eps, vbar: kvoh_channel(eps),
+        Mechanism.KVOH, _kvoh_tally, lambda eps, vbar: kvoh_channel(eps),
         estimate=lambda table, eps: kvoh_decode_array(*_kvoh_tally(table), eps)),
 }

@@ -326,6 +326,29 @@ def test_generate_rejects_a_nan_spread_as_a_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["cost", "--d", ","], ["bounds", "--epsilon", ","], ["bounds", "--epsilon", " "]])
+def test_an_empty_number_list_is_a_config_error(capsys, argv):
+    # Used to end in an IndexError traceback from printing an empty table.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "no number given" in err
+
+
+def test_conditional_rejects_dims_that_differ_from_the_dataset_file(tmp_path, capsys):
+    # --dims 3 on a 5-key file used to write d=5 rows under a "dims": [3],
+    # "n": 100000 header.
+    dataset = tmp_path / "ds.csv"
+    assert main(["generate", "--dist", "regime", "--freq-regime", "high", "--mean-regime", "low",
+                 "--d", "5", "--n", "300", "--seed", "1", "--out", str(dataset)]) == 0
+    out = tmp_path / "c.csv"
+    base = ["conditional", "--dataset", str(dataset), "--epsilon", "4", "--reps", "1", "--out", str(out)]
+    assert main(base + ["--dims", "3"]) == 2
+    assert "error[config]" in capsys.readouterr().err and not out.exists()
+    assert main(base + ["--dims", "5"]) == 0
+    header, rows = parse_table(out)
+    assert header["dims"] == [5] and header["n"] == 300 and {row["d"] for row in rows} == {5}
+
+
 _CONFIG_KEYS = sorted({key for table in cli.OPTIONS.values() for key in table})
 _CONFIG_LINES = st.one_of(
     st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = "]),

@@ -12,12 +12,18 @@ from kvldp.core import (
     DomainError,
     PrivacyBudget,
     RandomSource,
-    direct_encode_array,
-    discretize_array,
     flip_keep_probability,
-    rr_bit_array,
-    rr_sign_array,
+    state_digits,
 )
+from kvldp.mechanisms import (
+    Mechanism,
+    f2m_encode_population,
+    kvue_channel,
+    rr_channel,
+    sample,
+)
+
+NEG, ABSENT, POS = (int(state) for state in DiscretizedState)
 
 
 def _ref_discretize(v, g):
@@ -25,9 +31,20 @@ def _ref_discretize(v, g):
     return 1 if g.random() < (1.0 + v) / 2.0 else -1
 
 
+def _signs(values, g):
+    """The +-1 value signs of state_digits for present values."""
+    return state_digits(values, g).astype(np.int64) - 1
+
+
+def _rr_bits(bits, epsilon, g):
+    """Binary randomized response through the table sampler: the f2m key bit of a held (1) or absent (0) key."""
+    values = np.where(np.asarray(bits) == 1, 0.0, np.nan)[:, None]
+    return f2m_encode_population(values, PrivacyBudget(epsilon, 1.0), 0.0, g).key_bits
+
+
 def _vpp(values, epsilon, g):
-    """Value perturbation as the encoders run it: discretize, then randomized-response the sign."""
-    return rr_sign_array(discretize_array(values, g), epsilon, g)
+    """Value perturbation through the table sampler: the f2m sign of held keys (discretize, then randomized response)."""
+    return f2m_encode_population(values[:, None], PrivacyBudget(50.0, epsilon), 0.0, g).signs
 
 
 def test_flip_keep_probability_closed_forms():
@@ -46,21 +63,25 @@ def test_flip_keep_probability_domain(bad):
 
 def test_discretize_boundaries_are_deterministic():
     g = RandomSource(1).generator()
-    assert (discretize_array(np.ones(1000), g) == 1).all()
-    assert (discretize_array(np.full(1000, -1.0), g) == -1).all()
+    assert (state_digits(np.ones(1000), g) == POS).all()
+    assert (state_digits(np.full(1000, -1.0), g) == NEG).all()
+    assert (state_digits(np.full((10, 100), np.nan), g) == ABSENT).all()
 
 
 def test_discretize_rejects_out_of_range():
+    # NaN is no error: it marks an absent key.
     g = RandomSource(1).generator()
-    for bad in (1.0001, -2.0, math.nan, math.inf):
+    for bad in (1.0001, -2.0, math.inf, -math.inf):
         with pytest.raises(DomainError):
-            discretize_array(np.array([0.0, bad]), g)
+            state_digits(np.array([0.0, np.nan, bad]), g)
+        with pytest.raises(DomainError):
+            state_digits(np.array([[0.0, np.nan], [bad, 0.0]]), g)
 
 
 def test_discretize_monte_carlo_against_closed_form():
     # Pr[+1] = (1 + v)/2; at v = 0.5 that is 0.75.
-    draws = discretize_array(np.full(10**6, 0.5), RandomSource(7).generator())
-    assert (draws == 1).mean() == pytest.approx(0.75, abs=0.002)
+    draws = state_digits(np.full(10**6, 0.5), RandomSource(7).generator())
+    assert (draws == POS).mean() == pytest.approx(0.75, abs=0.002)
 
 
 def test_discretize_scalar_matches_array_law():
@@ -70,35 +91,25 @@ def test_discretize_scalar_matches_array_law():
     # 4 sigma band around 0.75 at 2e5 draws
     assert abs(hits / 200000 - 0.75) < 4 * math.sqrt(0.75 * 0.25 / 200000)
     # One draw per value in stream order, so the same stream gives the same signs.
-    assert (discretize_array(np.full(200000, 0.5), RandomSource(11).generator()) == scalar).all()
+    assert (_signs(np.full(200000, 0.5), RandomSource(11).generator()) == scalar).all()
 
 
 def test_discretize_unbiased_over_value_grid():
     g = RandomSource(3).generator()
     n = 10**5
     for v in (-0.9, -0.5, -0.1, 0.0, 0.3, 0.7, 1.0):
-        mean = discretize_array(np.full(n, v), g).mean()
+        mean = _signs(np.full(n, v), g).mean()
         stderr = math.sqrt(max(1.0 - v * v, 1e-12) / n)
         assert abs(mean - v) <= 4 * stderr + 1e-9
 
 
 def test_randomized_response_bit_laws():
     g = RandomSource(5).generator()
-    assert (rr_bit_array(np.ones(1000, dtype=np.int8), 50.0, g) == 1).all()
-    zeros = rr_bit_array(np.zeros(10**6, dtype=np.int8), math.log(3), g)
+    assert (_rr_bits(np.ones(1000, dtype=np.int8), 50.0, g) == 1).all()
+    zeros = _rr_bits(np.zeros(10**6, dtype=np.int8), math.log(3), g)
     assert (zeros == 0).mean() == pytest.approx(0.75, abs=0.002)
-    near_uniform = rr_bit_array(np.ones(10**6, dtype=np.int8), 1e-9, g)
+    near_uniform = _rr_bits(np.ones(10**6, dtype=np.int8), 1e-9, g)
     assert (near_uniform == 1).mean() == pytest.approx(0.5, abs=0.002)
-    with pytest.raises(DomainError):
-        rr_bit_array(np.array([0, 2]), 1.0, g)
-
-
-def test_randomized_response_symmetry_at_matched_seeds():
-    # With the same stream, output==input happens on exactly the same draws.
-    eps = 0.8
-    kept_ones = rr_bit_array(np.ones(10**5, dtype=np.int8), eps, RandomSource(9).generator()) == 1
-    kept_zeros = rr_bit_array(np.zeros(10**5, dtype=np.int8), eps, RandomSource(9).generator()) == 0
-    assert (kept_ones == kept_zeros).all()
 
 
 def test_direct_encode_probability_table_ratio_is_exp_eps():
@@ -113,30 +124,38 @@ def test_direct_encode_probability_table_ratio_is_exp_eps():
 
 
 def test_direct_encode_monte_carlo():
+    # The 3-category generalized randomized response through the table sampler:
+    # (x=NEG, eps=ln 2) keeps 0.5 and moves to each other category w.p. 0.25.
     g = RandomSource(13).generator()
-    # (x=0, K=3, eps=ln 2): keep 0.5, others 0.25 each.
-    out = direct_encode_array(np.zeros(10**6, dtype=np.int64), 3, math.log(2), g)
+    out = sample(Mechanism.KVUE, np.full((10**6, 1), -1.0), kvue_channel(math.log(2)), g).codes
     counts = np.bincount(out, minlength=3) / 10**6
-    assert counts[0] == pytest.approx(0.5, abs=0.002)
-    assert counts[1] == pytest.approx(0.25, abs=0.002)
-    assert counts[2] == pytest.approx(0.25, abs=0.002)
-    assert (direct_encode_array(np.full(1000, 2), 3, 50.0, g) == 2).all()
+    assert counts[NEG] == pytest.approx(0.5, abs=0.002)
+    assert counts[ABSENT] == pytest.approx(0.25, abs=0.002)
+    assert counts[POS] == pytest.approx(0.25, abs=0.002)
+    assert (sample(Mechanism.KVUE, np.ones((1000, 1)), kvue_channel(50.0), g).codes == POS).all()
 
 
 def test_direct_encode_binary_matches_rr_law():
-    g = RandomSource(17).generator()
-    out = direct_encode_array(np.ones(10**6, dtype=np.int64), 2, math.log(3), g)
+    # Generalized randomized response over two categories is the binary table.
+    for eps in (0.1, math.log(3), 5.0):
+        w = math.exp(-eps)
+        np.testing.assert_allclose(rr_channel(eps), [[1 / (1 + w), w / (1 + w)], [w / (1 + w), 1 / (1 + w)]],
+                                   rtol=1e-15)
+    out = _rr_bits(np.ones(10**6, dtype=np.int8), math.log(3), RandomSource(17).generator())
     assert (out == 1).mean() == pytest.approx(0.75, abs=0.002)
 
 
 def test_direct_encode_domain_errors():
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        for channel in (kvue_channel, rr_channel):
+            with pytest.raises(DomainError):
+                channel(bad)
     g = RandomSource(1).generator()
+    for shape in ((3, 4), (2, 3)):  # a kvue table is (3, 3)
+        with pytest.raises(DomainError):
+            sample(Mechanism.KVUE, np.zeros((5, 2)), np.full(shape, 1.0 / shape[1]), g)
     with pytest.raises(DomainError):
-        direct_encode_array(np.array([0]), 1, 1.0, g)
-    with pytest.raises(DomainError):
-        direct_encode_array(np.array([0, 3]), 3, 1.0, g)
-    with pytest.raises(DomainError):
-        direct_encode_array(np.array([0]), 3, -1.0, g)
+        sample(Mechanism.KVUE, np.zeros((5, 2)), [[1.5, -0.5, 0.0]] * 3, g)
 
 
 def test_vpp_closed_form():
@@ -193,8 +212,7 @@ def test_rr_keep_probability_property(eps, bit):
     p = flip_keep_probability(eps)
     assert 0.5 < p < 1.0 or p == pytest.approx(1.0)
     assert flip_keep_probability(eps + 1.0) > p - 1e-15
-    g = RandomSource(0).generator()
-    assert rr_bit_array(np.array([bit]), eps, g)[0] in (0, 1)
+    assert _rr_bits(np.array([bit]), eps, RandomSource(0).generator())[0] in (0, 1)
 
 
 def test_discretized_state_digit_identity():

@@ -35,32 +35,32 @@ GOLDEN = {
     "aggregate.txt": "b1d27f9d411d6b419f400430c3d082585cdf557f8959085813a04c54bafd49f1",
     "conditional.csv": "ad6873b793190aabeb1d0fc3d786f1e5377fde0073fe8f0fff432e63984bc661",
     "gaussian.csv": "2aa8802dabef4bec10cd71a3007aa3e56992f939616623a726f3e5489e1c3d3b",
-    "packed/f2m.d20": "e50dbdd443214d2997fdd8e57f54589716cd18c643a20705fae2c87a5621847b",
-    "packed/f2m.d37": "bdec6229dcb8b1d998522c532e4b53d7d90b40c32d96934f4f88f55fe3eb010b",
-    "packed/f2m.d65": "7689d953186e5acf2991a783e65eb8c95589cb5bd323d39373cd22dd8e1124fb",
-    "packed/kvoh.d20": "47542d34b4067457f96889708c69ac03c959d11bc5678201d22c233ac5ea8c93",
-    "packed/kvoh.d37": "5dbf7e6542f74c2ea20bd21e98ec69b158729da127aadbcae95c355eeecdfe52",
-    "packed/kvoh.d65": "84bce6c2861500a6f2b1b78012c5870ac5f4e59780aa823b2adaf5184fab443a",
-    "packed/kvue.d20": "46c56aeeded8284cc2f797db3f681a712bbf3b3dd29dac71c995e91529286597",
-    "packed/kvue.d37": "fa708b252fa73603be5398514788e69e8f45e78f7460fc4238e13f0d1923986b",
-    "packed/kvue.d65": "c882dfcf3431f48ff94d4286d93c5b1f0060d7d0c500f6fb0e5c35984396133a",
-    "packed/privkv-improved.d20": "ebf570f0bc167eeb2bbb68cecae0a37a8a7243f0d971cc0374d947338507ec00",
-    "packed/privkv-improved.d37": "e0b0685103384fd2497913203a33364936ed4f58508b96012d10452033ebfcf1",
-    "packed/privkv-improved.d65": "f08fd55fb7cc564e7f7127c7b0f2b3366607ff289e85ff08be65cf5d0e7bc6a3",
-    "packed/privkv.d20": "c441a1b0e0394b83dc9a83d63c029aa602ca8f9e14f1965e893b7760b716d8c9",
-    "packed/privkv.d37": "50168a96f27e49a5c594124f15907df3823142b9bbad7261c3627b415da178dc",
-    "packed/privkv.d65": "e1059d6a70f2db27290c8bd28a603f4f16825188c0692915466ed1ac2a5e1c54",
+    "packed/f2m.d20": "8dd336c40af2792073381955dc35f6230e8beb5de9bf9192fef6e3b76084871a",
+    "packed/f2m.d37": "b9adf69ed959f76416618099eabb517f9fe2a66bce35dbb1929efbbe8eb0192c",
+    "packed/f2m.d65": "4761e178c09e5018806a7b6f6e08ee9bf088b073845e2941fdfe504cc72ad5fb",
+    "packed/kvoh.d20": "b0c53f7ef5f821926d07e300e623dccedefdf4004a57992ea89ae92ec2115220",
+    "packed/kvoh.d37": "495806b48a9d1999fc7f402687b719c74911cead2e763132afd77cd3dae80ffd",
+    "packed/kvoh.d65": "d0f177106b7f0e2213692f4e22ee9203070b59b4aacb65d8159471acd0da7428",
+    "packed/kvue.d20": "aafde64ed7470b51c86536d6cc962d0dd4113d8f005c405631848f7d10d8ed38",
+    "packed/kvue.d37": "2d503384f0ea8e3ee59473b7dcfd8ca90beab2610f19f2a57d26e0d382cf569f",
+    "packed/kvue.d65": "7384c2d7999b291e447a3fa8a1e76760abe7e7e530aefbe5575c02baecb66918",
+    "packed/privkv-improved.d20": "40e99df4a76527bf256f1c6101fbb59304ebf1e5b6c8386f5391b381feb5d0e7",
+    "packed/privkv-improved.d37": "40723f549013dd620ed4e37e3a21858d164044e9c6dd2c76ba8444626430c796",
+    "packed/privkv-improved.d65": "421436bccd071ec191ccb1af644c42d32226e74aed240bf75e7a12d09e6267dd",
+    "packed/privkv.d20": "0d6efa005dd5a4ca4c72ccb8f8b0fff185db4c0c34cb9e286ee3a196ff89cb35",
+    "packed/privkv.d37": "659fc7f0cbcd69c9afceaadd45c96c8b0f583b63acdda22c8217af0f44219d50",
+    "packed/privkv.d65": "f05b0638944dfabb525df0aed1193cfd9c72cc52dff905f7dfb02cabdb8ec49d",
     "regime.csv": "a070e8dbefa60fa30e43a7c6e1f18ab0a33c26ab940543e2fb5051c1f6c91273",
-    "run.csv": "3ad7c485b626a309b9643204944ee4fb384eeafb74c92841e2126292d267c271",
-    "run.perkey.csv": "a7f38c88dae6ae88c0b2d177181915d8419a20545dcd6f9b737fc68eb743609e",
-    "run.summary.csv": "2ac4d3bdf5be3e8b3356287b678524900c549e9c33cc0968c75babebe3280453",
-    "study.csv": "62e712ad165d6f83d5aebf11110f4928b3e99818c7f2a83345d9c404f4021f97",
-    "study.summary.csv": "0910b10151d078f75e588e4f28d096856eb211b9b6515fc76573af1560435308",
-    "traces/f2m.txt": "9b8a9c4976304e1b3b5525e219740f28095aa954d47f38093404d5f3b59221e0",
-    "traces/kvoh.txt": "70d4b7433428c5129e140ecda5b10058d123dbe530370fcda4ec0955b5d1aca1",
-    "traces/kvue.txt": "ed89919ec2e4a5b0426f5b411080f81eb7932ba9f69297c958659437590fec41",
-    "traces/privkv-improved.txt": "1fac5f10d3d118f6241cd51dbdbe6559bea9a7ba6155ebb9f9be242947e481ef",
-    "traces/privkv.txt": "8d8a0aa29102fc6fa3426bcf0801a5dd158b59beeba84bf472e8daff5b3d33b6",
+    "run.csv": "89ae92ee0542218e29b8072aa80ef5eff6670c56a334ab184a0f8d57594fd1ef",
+    "run.perkey.csv": "7a93478d67c0120e5afd1f08d2262236f1b8070a19166cf81ce1f5f8ef276b44",
+    "run.summary.csv": "0cee813de968458dcca3682e7630d4ba97cb9249889c76472ce28fe6e5d5f4e9",
+    "study.csv": "991878fafe1854b34e4d94c373604a73b7957b783ed8676a64d71ce195b5a15c",
+    "study.summary.csv": "e0d2e75e422463bf825843584723dd52ec1b7ff9c7126d2028231646966a9339",
+    "traces/f2m.txt": "907e3e4b4afe7e0482aff1b51f796d087db2f91ba271dbe630d77992f71a4755",
+    "traces/kvoh.txt": "237bee933aeab324bdbce612aa2e3d1f9aedd4319ace13ed3c097b5997be3480",
+    "traces/kvue.txt": "01cd5750dd147abdbd8f12fa9b24947662b0e0337359e0529a1a881ce36244f7",
+    "traces/privkv-improved.txt": "138762f9a84c1bf66046eabe29bdbcd469b93f7107aafd09adc7515553fc8112",
+    "traces/privkv.txt": "f4a0d0f0746b8fc45ae4ddec62010a25ccb3c031437cf06bf946fc52d685e77f",
 }
 
 

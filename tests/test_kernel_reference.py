@@ -2,14 +2,20 @@
 
 The reference functions below are the select-and-compact formulations the
 kernels replaced: np.where on random masks, boolean-mask compaction in the
-tallies, fancy-index gathers.  Every test runs a kernel and its reference
-on two generators of the same stream and asserts equal bytes, equal dtypes
-and shapes, and an equal generator state afterwards, so the kernels draw
-the same variates in the same order.
+tallies, fancy-index gathers, and a per-report inverse CDF that compares a
+uniform with every threshold of its row at once.  Every test runs a kernel
+and its reference on two generators of the same stream and asserts equal
+bytes, equal dtypes and shapes, and an equal generator state afterwards,
+so the kernels draw the same variates in the same order.
 
-The tie tests build values whose discretization threshold (1 + v) / 2
-equals the uniform drawn for them exactly, so a strict comparison turned
-non-strict changes the output.
+The four hand-written samplers the channel-table sampler replaced are kept
+below as _ref_lpp, _ref_f2m, _ref_kvue and _ref_kvoh.  They draw in another
+order, so the table sampler is checked against them in law: a two-sample
+chi-square test on the (true state, payload code) counts.
+
+The tie tests build values whose discretization threshold (1 + v) / 2, or a
+budget whose inverse-CDF threshold, equals the uniform drawn for it
+exactly, so a strict comparison turned non-strict changes the output.
 
 The last section keeps the forms that the row-blocked draws, the strided
 query sums and the column-only oracle replaced: one-shot (n, d) draws, a
@@ -37,25 +43,29 @@ from kvldp.core import (
     DomainError,
     PrivacyBudget,
     RandomSource,
-    direct_encode_array,
-    discretize_array,
     flip_keep_probability,
     row_blocks,
-    rr_bit_array,
-    rr_sign_array,
+    state_digits,
 )
 from kvldp.datagen import Dataset, _materialize, true_conditional
+from kvldp.harness import MECHANISMS
 from kvldp.mechanisms import (
     ABSENT,
     NEG,
+    PAYLOADS,
     POS,
-    F2MReports,
-    KVOHReports,
-    TernaryReports,
+    PROTOCOLS,
+    Mechanism,
+    ReportBatch,
     f2m_encode_population,
+    f2m_state_channel,
+    kvoh_channel,
     kvoh_encode_population,
+    kvue_channel,
     kvue_encode_population,
+    lpp_channel,
     lpp_encode_population,
+    sample,
     tally_f2m,
     tally_kvoh,
     tally_ternary,
@@ -113,6 +123,24 @@ def _ref_digits(present, signs):
     return np.where(present, np.where(signs > 0, POS, NEG), ABSENT).astype(np.int8)
 
 
+def _ref_state_digits(values, g):
+    present = ~np.isnan(values)
+    return _ref_digits(present, _ref_discretize_array(np.where(present, values, 0.0), g))
+
+
+def _ref_sample(mechanism, values, channel, g):
+    """The table sampler per report: a code counts the thresholds of its state's row at or below its uniform."""
+    key_index, sampled, _ = _ref_gather(values, g)
+    true_states = _ref_state_digits(sampled, g)
+    u = g.random(len(key_index))
+    cdf = np.cumsum(channel, axis=1)[true_states, :-1]
+    return ReportBatch(mechanism, key_index, (u[:, None] >= cdf).sum(axis=1).astype(np.uint8), true_states)
+
+
+# The hand-written samplers the table sampler replaced, each returning its
+# reports as a ReportBatch: the law reference of the two-sample test.
+
+
 def _ref_lpp(values, budget, g):
     key_index, sampled, present = _ref_gather(values, g)
     placeholder = g.uniform(-1.0, 1.0, size=sampled.shape)
@@ -120,8 +148,8 @@ def _ref_lpp(values, budget, g):
     v_prime = _ref_rr_sign_array(v_star, budget.epsilon_value, g)
     keep = g.random(sampled.shape) < flip_keep_probability(budget.epsilon_key)
     emit_key = np.where(present, keep, ~keep)
-    states = np.where(emit_key, np.where(v_prime > 0, POS, NEG), ABSENT).astype(np.int8)
-    return TernaryReports(key_index, states, _ref_digits(present, v_star))
+    states = np.where(emit_key, np.where(v_prime > 0, POS, NEG), ABSENT)
+    return ReportBatch(Mechanism.PRIVKV, key_index, states.astype(np.uint8), _ref_digits(present, v_star))
 
 
 def _ref_f2m(values, budget, default_value, g):
@@ -129,15 +157,16 @@ def _ref_f2m(values, budget, default_value, g):
     key_bits = _ref_rr_bit_array(present.astype(np.int8), budget.epsilon_key, g)
     v_star = _ref_discretize_array(np.where(present, sampled, default_value), g)
     signs = _ref_rr_sign_array(v_star, budget.epsilon_value, g)
-    return F2MReports(key_index, key_bits, signs, _ref_digits(present, v_star))
+    codes = 2 * key_bits + (signs > 0)
+    return ReportBatch(Mechanism.F2M, key_index, codes.astype(np.uint8), _ref_digits(present, v_star))
 
 
 def _ref_kvue(values, epsilon, g):
     key_index, sampled, present = _ref_gather(values, g)
     v_star = _ref_discretize_array(np.where(present, sampled, 0.0), g)
     true_states = _ref_digits(present, v_star)
-    states = _ref_direct_encode_array(true_states, 3, epsilon, g).astype(np.int8)
-    return TernaryReports(key_index, states, true_states)
+    states = _ref_direct_encode_array(true_states, 3, epsilon, g)
+    return ReportBatch(Mechanism.KVUE, key_index, states.astype(np.uint8), true_states)
 
 
 def _ref_kvoh(values, epsilon, g):
@@ -147,8 +176,9 @@ def _ref_kvoh(values, epsilon, g):
     p = flip_keep_probability(float(epsilon) / 2.0)
     onehot = true_states[:, None] == np.arange(3, dtype=np.int8)[None, :]
     u = g.random((sampled.shape[0], 3))
-    bits = np.where(onehot, u < p, u < 1.0 - p).astype(np.int8)
-    return KVOHReports(key_index, bits, true_states)
+    bits = np.where(onehot, u < p, u < 1.0 - p)
+    codes = bits @ np.array([4, 2, 1])
+    return ReportBatch(Mechanism.KVOH, key_index, codes.astype(np.uint8), true_states)
 
 
 def _ref_tally_ternary(key_index, states, d):
@@ -244,36 +274,10 @@ def _assert_identical(got, want, g_got, g_want):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_discretize_array_matches_reference(seed):
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, 5000)
-    values[::7], values[::11], values[::13] = -1.0, 1.0, 0.0
+    values[::7], values[::11], values[::13], values[::17] = -1.0, 1.0, 0.0, np.nan
     for shaped in (values, values.reshape(50, 100), values[:1]):
         g, ref = _generators(seed)
-        _assert_identical(discretize_array(shaped, g), _ref_discretize_array(shaped, ref), g, ref)
-
-
-@pytest.mark.parametrize("epsilon", EPSILONS)
-@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
-def test_rr_bit_array_matches_reference(epsilon, dtype):
-    bits = (np.random.default_rng(3).random(5000) < 0.3).astype(dtype)
-    g, ref = _generators(4)
-    _assert_identical(rr_bit_array(bits, epsilon, g), _ref_rr_bit_array(bits, epsilon, ref), g, ref)
-
-
-@pytest.mark.parametrize("epsilon", EPSILONS)
-@pytest.mark.parametrize("dtype", [np.int8, np.int64])
-def test_rr_sign_array_matches_reference(epsilon, dtype):
-    signs = np.where(np.random.default_rng(5).random(5000) < 0.6, 1, -1).astype(dtype)
-    g, ref = _generators(6)
-    _assert_identical(rr_sign_array(signs, epsilon, g), _ref_rr_sign_array(signs, epsilon, ref), g, ref)
-
-
-@pytest.mark.parametrize("K", [2, 3, 5])
-@pytest.mark.parametrize("dtype", [np.int8, np.int64])
-@pytest.mark.parametrize("epsilon", EPSILONS)
-def test_direct_encode_array_matches_reference(K, dtype, epsilon):
-    xs = np.random.default_rng(K).integers(0, K, 5000).astype(dtype)
-    xs[:K] = np.arange(K)  # every category, the largest included
-    g, ref = _generators(7)
-    _assert_identical(direct_encode_array(xs, K, epsilon, g), _ref_direct_encode_array(xs, K, epsilon, ref), g, ref)
+        _assert_identical(state_digits(shaped, g), _ref_state_digits(shaped, ref), g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,8 @@ def test_lpp_encoder_and_tally_match_reference(shape, seed):
     for epsilon in EPSILONS:
         budget = PrivacyBudget.split(epsilon)
         g, ref = _generators(seed)
-        got, want = lpp_encode_population(values, budget, g), _ref_lpp(values, budget, ref)
+        got = lpp_encode_population(values, budget, g)
+        want = _ref_sample(Mechanism.PRIVKV, values, lpp_channel(budget), ref)
         _assert_identical(got, want, g, ref)
         for states in (got.states, got.true_states):
             _assert_identical(tally_ternary(got.key_index, states, d),
@@ -305,7 +310,7 @@ def test_f2m_encoder_and_tally_match_reference(shape, default_value):
         budget = PrivacyBudget.split(epsilon)
         g, ref = _generators(12)
         got = f2m_encode_population(values, budget, default_value, g)
-        want = _ref_f2m(values, budget, default_value, ref)
+        want = _ref_sample(Mechanism.F2M, values, f2m_state_channel(budget, default_value), ref)
         _assert_identical(got, want, g, ref)
         _assert_identical(tally_f2m(got.key_index, got.key_bits, got.signs, d),
                           _ref_tally_f2m(want.key_index, want.key_bits, want.signs, d), g, ref)
@@ -318,7 +323,8 @@ def test_kvue_encoder_and_tally_match_reference(shape, seed):
     d = shape[1]
     for epsilon in EPSILONS:
         g, ref = _generators(seed)
-        got, want = kvue_encode_population(values, epsilon, g), _ref_kvue(values, epsilon, ref)
+        got = kvue_encode_population(values, epsilon, g)
+        want = _ref_sample(Mechanism.KVUE, values, kvue_channel(epsilon), ref)
         _assert_identical(got, want, g, ref)
         _assert_identical(tally_ternary(got.key_index, got.states, d),
                           _ref_tally_ternary(want.key_index, want.states, d), g, ref)
@@ -331,7 +337,8 @@ def test_kvoh_encoder_and_tally_match_reference(shape, seed):
     d = shape[1]
     for epsilon in EPSILONS:
         g, ref = _generators(seed)
-        got, want = kvoh_encode_population(values, epsilon, g), _ref_kvoh(values, epsilon, ref)
+        got = kvoh_encode_population(values, epsilon, g)
+        want = _ref_sample(Mechanism.KVOH, values, kvoh_channel(epsilon), ref)
         _assert_identical(got, want, g, ref)
         _assert_identical(tally_kvoh(got.key_index, got.bits, d),
                           _ref_tally_kvoh(want.key_index, want.bits, d), g, ref)
@@ -353,6 +360,74 @@ def test_tallies_match_reference_on_arbitrary_bit_values():
     _assert_identical(tally_f2m(empty, empty, empty, 4), _ref_tally_f2m(empty, empty, empty, 4), g, ref)
     _assert_identical(tally_kvoh(empty, np.zeros((0, 3), np.int8), 4),
                       _ref_tally_kvoh(empty, np.zeros((0, 3), np.int8), 4), g, ref)
+
+
+# ---------------------------------------------------------------------------
+# The table sampler in law against the samplers it replaced
+# ---------------------------------------------------------------------------
+#
+# Per mechanism, the (true state, payload code) counts of the table sampler
+# and of the old sampler, each on its own fixed seed, form a two-row table.
+# Pearson's homogeneity statistic is held against the chi-square quantile
+# at the standard normal z = 4 (Wilson-Hilferty), a false-alarm rate of
+# about 3e-5 per test.
+
+OLD_SAMPLERS = {
+    "privkv": lambda values, eps, vbar, g: _ref_lpp(values, PrivacyBudget.split(eps), g),
+    "privkv-improved": lambda values, eps, vbar, g: _ref_lpp(values, PrivacyBudget.split(eps), g),
+    "f2m": lambda values, eps, vbar, g: _ref_f2m(values, PrivacyBudget.split(eps), vbar, g),
+    "kvue": lambda values, eps, vbar, g: _ref_kvue(values, eps, g),
+    "kvoh": lambda values, eps, vbar, g: _ref_kvoh(values, eps, g),
+}
+
+
+def _chi_square_critical(dof: int, z: float = 4.0) -> float:
+    return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+
+
+def _joint_counts(batch: ReportBatch) -> np.ndarray:
+    size = len(PAYLOADS[batch.mechanism].values)
+    return np.bincount(batch.true_states.astype(np.int64) * size + batch.codes, minlength=3 * size)
+
+
+def _homogeneity(name, new_epsilon, old_epsilon, vbar, seed):
+    """(statistic, dof) of the table sampler's joint counts against the old sampler's."""
+    values = _matrix(60000, 3, seed)
+    new = PROTOCOLS[name].encode(values, new_epsilon, vbar, RandomSource(seed, 1).generator())
+    old = OLD_SAMPLERS[name](values, old_epsilon, vbar, RandomSource(seed, 2).generator())
+    table = np.stack([_joint_counts(new), _joint_counts(old)])
+    table = table[:, table.sum(axis=0) > 0]
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("epsilon", [0.5, 2.0])
+def test_table_sampler_matches_the_old_sampler_in_law(name, epsilon):
+    statistic, dof = _homogeneity(name, epsilon, epsilon, 0.5, 150 + MECHANISMS.index(name) + int(10 * epsilon))
+    assert statistic < _chi_square_critical(dof), (name, epsilon, statistic)
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_homogeneity_rejects_the_old_sampler_at_another_budget(name):
+    statistic, dof = _homogeneity(name, 1.3, 1.0, 0.5, 170 + MECHANISMS.index(name))
+    assert statistic > _chi_square_critical(dof), (name, statistic)
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+def test_zero_mass_payloads_are_never_drawn(mechanism):
+    size = len(PAYLOADS[mechanism].values)
+    values = _matrix(20000, 3, 180)
+    one_hot = np.eye(size)[[1, 0, 1]]  # rows [0, 1, 0, ...], [1, 0, 0, ...], [0, 1, 0, ...]
+    batch = sample(mechanism, values, one_hot, RandomSource(181).generator())
+    assert (batch.codes == one_hot.argmax(axis=1)[batch.true_states]).all()
+    rng = np.random.default_rng(182)
+    for _ in range(5):
+        channel = rng.random((3, size)) * (rng.random((3, size)) < 0.5)
+        channel[:, rng.integers(0, size)] += 0.5
+        channel /= channel.sum(axis=1, keepdims=True)
+        batch = sample(mechanism, values, channel, RandomSource(183).generator())
+        assert (channel[batch.true_states, batch.codes] > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -393,78 +468,52 @@ def test_discretize_ties_match_reference():
     values = _tied(u)
     assert ((1.0 + values) / 2.0 == u).all()
     g, ref = _generators(60)
-    out = discretize_array(values, g)
-    _assert_identical(out, _ref_discretize_array(values, ref), g, ref)
-    assert (out == -1).all()
+    out = state_digits(values, g)
+    _assert_identical(out, _ref_state_digits(values, ref), g, ref)
+    assert (out == NEG).all()
 
 
-def _replay_encoder_draws(seed, n, d, skipped):
-    """The key indices and discretization uniforms an encoder draws from (seed, 0).
-
-    skipped is the number of n-variate draws in between: privkv's
-    placeholder values and f2m's key-bit flips, one double each.
-    """
+def _replay_encoder_draws(seed, n, d):
+    """The key indices, discretization uniforms and code uniforms a sampler draws from (seed, 0)."""
     g = RandomSource(seed).generator()
-    key_index = g.integers(0, d, size=n)
-    for _ in range(skipped):
-        g.random(n)
-    return key_index, g.random(n)
+    return g.integers(0, d, size=n), g.random(n), g.random(n)
 
 
 @pytest.mark.parametrize("mechanism", ["privkv", "f2m", "kvue", "kvoh"])
 def test_encoder_ties_match_reference(mechanism):
     n, d, seed = 1000, 5, 61
-    key_index, u = _replay_encoder_draws(seed, n, d, int(mechanism in ("privkv", "f2m")))
+    key_index, u, _ = _replay_encoder_draws(seed, n, d)
     values = np.full((n, d), np.nan)
     holders = np.arange(n) % 4 != 0
     values[np.arange(n)[holders], key_index[holders]] = _tied(u[holders])
-    # The f2m default ties with the draw of the first absent report.
-    default_value = float(_tied(u[0]))
     budget = PrivacyBudget.split(1.0)
     encoders = {
-        "privkv": (lambda v, g: lpp_encode_population(v, budget, g), lambda v, g: _ref_lpp(v, budget, g)),
-        "f2m": (lambda v, g: f2m_encode_population(v, budget, default_value, g),
-                lambda v, g: _ref_f2m(v, budget, default_value, g)),
-        "kvue": (lambda v, g: kvue_encode_population(v, 1.0, g), lambda v, g: _ref_kvue(v, 1.0, g)),
-        "kvoh": (lambda v, g: kvoh_encode_population(v, 1.0, g), lambda v, g: _ref_kvoh(v, 1.0, g)),
+        "privkv": (lambda v, g: lpp_encode_population(v, budget, g), lpp_channel(budget)),
+        "f2m": (lambda v, g: f2m_encode_population(v, budget, 0.5, g), f2m_state_channel(budget, 0.5)),
+        "kvue": (lambda v, g: kvue_encode_population(v, 1.0, g), kvue_channel(1.0)),
+        "kvoh": (lambda v, g: kvoh_encode_population(v, 1.0, g), kvoh_channel(1.0)),
     }
-    encode, reference = encoders[mechanism]
+    encode, channel = encoders[mechanism]
     g, ref = _generators(seed)
     got = encode(values, g)
-    _assert_identical(got, reference(values, ref), g, ref)
+    _assert_identical(got, _ref_sample(Mechanism(mechanism), values, channel, ref), g, ref)
     assert (got.true_states[holders] == NEG).all()
 
 
-def _epsilon_tied_to(draws, threshold_of):
-    """An epsilon at which threshold_of(epsilon) equals one of the draws exactly."""
-    for u in draws:
-        if u == 0.0 or u == 0.5:
-            continue
-        epsilon = 2.0 * abs(math.log(u / (1.0 - u)))
-        for step in range(-4, 5):
-            tried = epsilon
-            for _ in range(abs(step)):
-                tried = math.nextafter(tried, math.copysign(math.inf, step))
-            if threshold_of(tried) == u:
-                return tried
-    raise AssertionError("no epsilon ties with the draws")
-
-
-@pytest.mark.parametrize("position", [ABSENT, NEG])
-def test_kvoh_bit_ties_match_reference(position):
-    # Every true state is ABSENT, so bit ABSENT is kept below p and bit NEG set below 1 - p.
+@pytest.mark.parametrize("position", [0, 1])
+def test_code_threshold_ties_match_reference(position):
+    # Every row's threshold at column position is the first report's code
+    # uniform t exactly, so that report takes code position + 1, never position.
     n, d, seed = 1000, 5, 63
-    g = RandomSource(seed).generator()
-    g.integers(0, d, size=n)
-    g.random(n)
-    u = g.random((n, 3))[:, position]
-    if position == ABSENT:
-        epsilon = _epsilon_tied_to(u, lambda eps: flip_keep_probability(eps / 2.0))
-    else:
-        epsilon = _epsilon_tied_to(u, lambda eps: 1.0 - flip_keep_probability(eps / 2.0))
-    values = np.full((n, d), np.nan)
+    t = _replay_encoder_draws(seed, n, d)[2][0]
+    row = [t, 1.0 - t, 0.0] if position == 0 else [t, 0.0, 1.0 - t]
+    channel = np.array([row] * 3)
+    assert np.cumsum(channel, axis=1)[0, position] == t
+    values = _matrix(n, d, seed)
     g, ref = _generators(seed)
-    _assert_identical(kvoh_encode_population(values, epsilon, g), _ref_kvoh(values, epsilon, ref), g, ref)
+    got = sample(Mechanism.KVUE, values, channel, g)
+    _assert_identical(got, _ref_sample(Mechanism.KVUE, values, channel, ref), g, ref)
+    assert got.codes[0] == position + 1
 
 
 def test_ioh_index_ties_match_reference():
@@ -489,12 +538,38 @@ def test_encoders_reject_present_values_outside_unit_interval(bad):
     values = np.full((50, 1), np.nan)
     values[7, 0] = bad
     budget = PrivacyBudget.split(1.0)
-    for encode in (lambda g: lpp_encode_population(values, budget, g),
-                   lambda g: f2m_encode_population(values, budget, 0.0, g),
-                   lambda g: kvue_encode_population(values, 1.0, g),
-                   lambda g: kvoh_encode_population(values, 1.0, g)):
+    encoders = [lambda g: lpp_encode_population(values, budget, g),
+                lambda g: f2m_encode_population(values, budget, 0.0, g),
+                lambda g: kvue_encode_population(values, 1.0, g),
+                lambda g: kvoh_encode_population(values, 1.0, g)]
+    encoders += [lambda g, entry=entry: entry.encode(values, 1.0, 0.0, g) for entry in PROTOCOLS.values()]
+    for encode in encoders:
         with pytest.raises(DomainError):
             encode(RandomSource(0).generator())
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_encoders_reject_a_budget_that_is_not_positive_and_finite(epsilon):
+    values = np.zeros((10, 2))
+    g = RandomSource(0).generator()
+    for name, entry in PROTOCOLS.items():
+        with pytest.raises(DomainError):
+            entry.encode(values, epsilon, 0.0, g)
+    for encode in (kvue_encode_population, kvoh_encode_population):
+        with pytest.raises(DomainError):
+            encode(values, epsilon, g)
+    with pytest.raises(DomainError):
+        PrivacyBudget.split(epsilon)
+
+
+@pytest.mark.parametrize("default_value", [1.0000000000000002, -1.5, math.nan, math.inf])
+def test_f2m_rejects_a_default_value_outside_unit_interval(default_value):
+    values = np.zeros((10, 2))
+    g = RandomSource(0).generator()
+    with pytest.raises(DomainError):
+        f2m_encode_population(values, PrivacyBudget.split(1.0), default_value, g)
+    with pytest.raises(DomainError):
+        PROTOCOLS["f2m"].encode(values, 1.0, default_value, g)
 
 
 def test_tally_ternary_rejects_state_outside_digits():

@@ -20,7 +20,7 @@ from kvldp.conditional import AggregateVector, Condition, load_aggregate, save_a
 from kvldp.core import CapacityError, DomainError, PrivacyBudget, RandomSource, atomic_writer
 from kvldp import datagen
 from kvldp.datagen import Dataset, gen_regime, gen_synthetic, load_dataset, save_dataset
-from kvldp.harness import emit, population_report_lines, write_trace
+from kvldp.harness import emit, parse_table, population_report_lines, write_trace
 from kvldp.mechanisms import (
     PAYLOADS,
     Mechanism,
@@ -529,6 +529,87 @@ def test_load_aggregate_fuzz_ends_in_an_aggregate_or_a_domain_error(tmp_path_fac
         return
     assert agg.values.shape == (3 ** agg.d,) and np.isfinite(agg.values).all()
     assert agg.n_users >= 0 and 0 < agg.epsilon < math.inf
+
+
+_BAD_TABLES = {
+    "empty": b"",
+    "bad-header": b"# kvldp {not json\na,b\n1,2\n",
+    "no-columns": b'{"rows": [[1, 2]]}\n',
+    "no-rows": b'{"columns": ["a"]}\n',
+    "row-not-a-list": b'{"columns": ["a"], "rows": [3]}\n',
+    "deep-header": b"# kvldp " + b"[" * 100000 + b"\n",
+    "not-utf8": b"\xff\xfe,a\n1,2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TABLES))
+def test_parse_table_rejects_a_bad_file_naming_it(tmp_path, case):
+    # An empty file, a bad header and a document without columns used to
+    # raise StopIteration, JSONDecodeError and KeyError.
+    path = tmp_path / "table.csv"
+    path.write_bytes(_BAD_TABLES[case])
+    with pytest.raises(DomainError, match="table.csv"):
+        parse_table(path)
+    emit([{"a": 1, "b": 0.5}], "csv", path, config={"seed": 1})
+    assert parse_table(path) == ({"seed": 1}, [{"a": 1, "b": 0.5}])
+
+
+_JSON_VALUES = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+                            lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                                    st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+                            max_leaves=8)
+_TABLE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.sampled_from(["columns", "rows", "config"]), _JSON_VALUES).map(
+        lambda document: json.dumps(document).encode()),
+    st.tuples(
+        st.one_of(st.just(""), _JSON_VALUES.map(lambda header: "# kvldp " + json.dumps(header) + "\n"),
+                  st.text(max_size=12).map(lambda header: "# kvldp " + header + "\n")),
+        st.text(alphabet=st.sampled_from('ab,"\n\r 0123456789.-e\x00'), max_size=40),
+    ).map(lambda parts: "".join(parts).encode("utf-8", "surrogatepass")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_TABLE_BYTES)
+def test_parse_table_fuzz_ends_in_a_table_or_a_domain_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_bytes(content)
+    try:
+        _, rows = parse_table(path)
+    except DomainError:
+        return
+    assert isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
+
+
+# Header sizes stay small or are far too large to allocate: a mid-sized
+# n x d would fill gigabytes with NaN before any row is read.
+_DATASET_SIZES = st.one_of(st.integers(-2, 6), st.just(10**15), st.booleans(), st.floats(0, 4), st.text(max_size=2))
+_DATASET_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(
+        st.fixed_dictionaries({}, optional={"n": _DATASET_SIZES, "d": _DATASET_SIZES,
+                                            "dist": st.text(max_size=3)}).map(
+            lambda header: "# kvldp-dataset " + json.dumps(header) + "\n"),
+        st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.one_of(st.floats(), st.just(0.5))).map(
+            lambda row: "%d,%d,%r" % row), max_size=6).map("\n".join),
+        st.one_of(st.just(""), st.text("0123456789,.e-+naif \n", max_size=8)),
+        st.one_of(st.just(b""), st.binary(max_size=3)),
+    ).map(lambda parts: "".join(parts[:3]).encode() + parts[3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_DATASET_BYTES)
+def test_load_dataset_fuzz_ends_in_a_dataset_or_a_domain_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("ds") / "ds.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_dataset(path)
+    except DomainError:
+        return
+    present = ds.values[~np.isnan(ds.values)]
+    assert ds.values.shape == (ds.n, ds.d) and (np.abs(present) <= 1.0).all()
 
 
 # ---------------------------------------------------------------------------
