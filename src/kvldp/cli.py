@@ -3,7 +3,8 @@
 Subcommands: generate, ingest, run, conditional, default-study, bounds,
 cost.  Options may also come from a plain key=value config file via
 --config; explicit flags win over the file.  Exit codes: 0 success,
-2 configuration error, 3 domain/capacity error, 4 I/O error.
+2 configuration error, 3 domain/capacity error, 4 I/O error.  Any other
+exception is a bug: it is not caught, so it exits 1 with a traceback.
 """
 
 from __future__ import annotations

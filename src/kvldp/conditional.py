@@ -2,18 +2,18 @@
 
 A user's whole record is collapsed into a single base-3 number: each key
 contributes the digit key_bit * value_sign + 1 (0 = present negative,
-1 = absent, 2 = present positive), key 0 most significant.  The number
-indexes a one-hot vector of length 3^d whose bits are then flipped
-independently with budget eps/2 each; since two distinct one-hot vectors
-differ in exactly two bits this composes to eps for the whole record.
+1 = absent, 2 = present positive), key 0 most significant.  This is kvoh
+on a domain of 3^d positions: every bit of the number's one-hot vector is
+flipped by kvoh_bit_channel at budget eps/2, which composes to eps since
+two one-hot vectors differ in two bits, and kvoh_decode_array calibrates
+the summed vectors to unbiased per-index user counts.
 
-The aggregator sums received vectors, rescales every position to an
-unbiased estimate of the number of users at that index, and answers
-L-way conditional queries by summing calibrated positions over
-Cartesian-product index sets: a key constrained present contributes
-digits {0,2}, constrained absent {1}, unconstrained {0,1,2}, and the
-target key of a mean query contributes {2} for the positive part and {0}
-for the negative part.
+L-way conditional queries sum calibrated positions over Cartesian-product
+index sets: a key constrained present contributes digits {0,2},
+constrained absent {1}, unconstrained {0,1,2}, and the target key of a
+mean query contributes {2} for the positive part and {0} for the
+negative part.  This module keeps what is specific to full records: the
+record index, the bit-sum simulation, the index algebra and persistence.
 """
 
 from __future__ import annotations
@@ -30,19 +30,16 @@ import numpy as np
 from .core import (
     CapacityError,
     DomainError,
-    IllConditionedError,
     atomic_writer,
     ensure_generator,
-    flip_keep_probability,
     row_blocks,
     state_digits,
 )
+from .mechanisms import kvoh_bit_channel, kvoh_decode_array
 
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
 # reasonable in-memory object.
 IOH_DIMENSION_CAP = 12
-
-_MIN_CONDITIONING = 1e-12
 
 # Bits per row block of the peruser simulation (8 MB of uniforms).
 _PERUSER_BLOCK_ELEMENTS = 1 << 20
@@ -151,17 +148,12 @@ class AggregateVector:
 
 
 def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float) -> AggregateVector:
-    """Rescale summed bits to unbiased per-position counts.
+    """Rescale summed bits to unbiased per-position counts with kvoh's calibration.
 
-    values[i] = ((e^{eps/2} + 1) * sum_i - N) / (e^{eps/2} - 1); entries may
-    come out negative and are deliberately left unclipped so that the
-    counting operators stay linear and marginally consistent.
+    Entries may come out negative and are deliberately left unclipped so
+    that the counting operators stay linear and marginally consistent.
     """
-    denom = math.expm1(float(epsilon) / 2.0)
-    if denom < _MIN_CONDITIONING:
-        raise IllConditionedError(f"e^{{eps/2}} - 1 = {denom:.3e} is too small to calibrate")
-    bit_sums = np.asarray(bit_sums, dtype=np.float64)
-    values = ((denom + 2.0) * bit_sums - float(n_users)) / denom
+    values = kvoh_decode_array(bit_sums, n_users, epsilon)
     return AggregateVector(values, int(n_users), int(d), float(epsilon))
 
 
@@ -173,7 +165,6 @@ def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon:
 class IOHSample(NamedTuple):
     bit_sums: np.ndarray
     n_users: int
-    true_counts: np.ndarray
 
 
 def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
@@ -207,27 +198,26 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     drawn and summed in row blocks of at most 2^20 bits, so its memory
     does not grow with n.
     """
-    n, d = values.shape
-    d = _check_dimension(d)
     g = ensure_generator(rng)
-    indices = ioh_index_population(values, g)
+    indices = ioh_index_population(values, g)  # checks the dimension
+    n, d = values.shape
     size = 3 ** d
-    true_counts = np.bincount(indices, minlength=size)
-    keep = flip_keep_probability(float(epsilon) / 2.0)
+    flip, keep = kvoh_bit_channel(epsilon)[1]
     if method == "column":
+        true_counts = np.bincount(indices, minlength=size)
         kept = g.binomial(true_counts, keep)
-        spurious = g.binomial(n - true_counts, 1.0 - keep)
-        return IOHSample(kept + spurious, n, true_counts)
+        spurious = g.binomial(n - true_counts, flip)
+        return IOHSample(kept + spurious, n)
     if method == "peruser":
         positions = np.arange(size, dtype=np.int64)
         bit_sums = np.zeros(size, dtype=np.int64)
         for rows in row_blocks(n, size, _PERUSER_BLOCK_ELEMENTS):
             onehot = indices[rows, None] == positions[None, :]
             u = g.random(onehot.shape)
-            bits = (onehot & (u < keep)) | (~onehot & (u < 1.0 - keep))
+            bits = (onehot & (u < keep)) | (~onehot & (u < flip))
             bit_sums += bits.sum(axis=0)
             del onehot, u, bits  # freed before the next block draws its uniforms
-        return IOHSample(bit_sums, n, true_counts)
+        return IOHSample(bit_sums, n)
     raise DomainError(f"unknown simulation method {method!r}")
 
 
@@ -236,13 +226,8 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
 # ---------------------------------------------------------------------------
 
 
-# A digit set's positions along one base-3 axis, as an ascending slice.
-_DIGIT_SLICES = {(0, 2): slice(0, 3, 2), (1,): slice(1, 2), (0, 1, 2): slice(0, 3),
-                 (0,): slice(0, 1), (2,): slice(2, 3)}
-
-
-def _product_values(values: np.ndarray, digit_sets) -> np.ndarray:
-    """values at the Cartesian product of per-position digit sets, in ascending index order.
+def _product_values(values: np.ndarray, digit_slices) -> np.ndarray:
+    """values at the Cartesian product of per-key digit slices, in ascending index order.
 
     The product is a strided view of values as a (3,) * d tensor.  It is
     copied to a contiguous vector before any reduction: that vector holds
@@ -250,15 +235,27 @@ def _product_values(values: np.ndarray, digit_sets) -> np.ndarray:
     its sum is the same pairwise sum bit for bit, where a sum over the
     strided view would run in another order.
     """
-    view = values.reshape((3,) * len(digit_sets))[tuple(_DIGIT_SLICES[s] for s in digit_sets)]
+    view = values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]
     return np.ascontiguousarray(view).ravel()
+
+
+def _digit_slices(alpha, beta, target=None, digit=None) -> list:
+    """Per-key slices of the digits matching beta on alpha, the target key pinned to digit."""
+    slices = [(slice(0, 3, 2) if b else slice(1, 2)) if a else slice(0, 3) for a, b in zip(alpha, beta)]
+    if target is not None:
+        slices[target] = slice(digit, digit + 1)
+    return slices
+
+
+def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
+    return float(_product_values(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit)).sum())
 
 
 def frequency_index_set(gamma) -> np.ndarray:
     """Positions matching an exact existence pattern: digit {0,2} where present, {1} where absent."""
     gamma = _check_bits(gamma, len(gamma), "gamma")
     positions = np.arange(3 ** len(gamma), dtype=np.int64)
-    return _product_values(positions, [(0, 2) if bit else (1,) for bit in gamma])
+    return _product_values(positions, _digit_slices((1,) * len(gamma), gamma))
 
 
 def mean_index_sets(k: int, gamma):
@@ -273,22 +270,9 @@ def mean_index_sets(k: int, gamma):
         raise DomainError(f"target key {k} outside pattern of length {len(gamma)}")
     if not gamma[k]:
         raise DomainError(f"pattern marks target key {k} absent; its value is meaningless")
-    plus_sets = [(0, 2) if bit else (1,) for bit in gamma]
-    minus_sets = list(plus_sets)
-    plus_sets[k] = (2,)
-    minus_sets[k] = (0,)
     positions = np.arange(3 ** len(gamma), dtype=np.int64)
-    return _product_values(positions, plus_sets), _product_values(positions, minus_sets)
-
-
-def _condition_digit_sets(alpha, beta):
-    sets = []
-    for a, b in zip(alpha, beta):
-        if a:
-            sets.append((0, 2) if b else (1,))
-        else:
-            sets.append((0, 1, 2))
-    return sets
+    plus, minus = (_digit_slices((1,) * len(gamma), gamma, k, digit) for digit in (2, 0))
+    return _product_values(positions, plus), _product_values(positions, minus)
 
 
 def frequency_count(agg: AggregateVector, alpha, beta) -> float:
@@ -301,17 +285,7 @@ def frequency_count(agg: AggregateVector, alpha, beta) -> float:
     condition = Condition(tuple(alpha), tuple(beta))
     if condition.d != agg.d:
         raise DomainError(f"condition length {condition.d} does not match aggregate dimension {agg.d}")
-    return float(_product_values(agg.values, _condition_digit_sets(condition.alpha, condition.beta)).sum())
-
-
-def _signed_value_sum(agg: AggregateVector, k: int, condition: Condition) -> float:
-    plus_sets = _condition_digit_sets(condition.alpha, condition.beta)
-    minus_sets = list(plus_sets)
-    plus_sets[k] = (2,)
-    minus_sets[k] = (0,)
-    plus = float(_product_values(agg.values, plus_sets).sum())
-    minus = float(_product_values(agg.values, minus_sets).sum())
-    return plus - minus
+    return _product_sum(agg, condition)
 
 
 # A calibrated count below one user carries no signal; ratios against it
@@ -342,7 +316,7 @@ def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
     holders = frequency_count(agg, augmented.alpha, augmented.beta)
     if _degenerate(holders):
         return math.nan
-    signed = _signed_value_sum(agg, k, augmented)
+    signed = _product_sum(agg, augmented, k, 2) - _product_sum(agg, augmented, k, 0)
     return float(np.clip(signed / holders, -1.0, 1.0))
 
 

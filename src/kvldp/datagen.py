@@ -68,17 +68,20 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     mean_targets = np.asarray(mean_targets, dtype=np.float64)
     d = len(freq_targets)
     half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
-    # Presence is drawn in row blocks into one bool matrix: the draws are
-    # those of one (n, d) draw, without its n x d float temporary.
-    present = np.empty((n, d), dtype=bool)
-    for rows in row_blocks(n, d):
-        block = present[rows]
-        np.less(rng.random(block.shape), freq_targets, out=block)
-    # Built in place: one transient n x d float buffer instead of four.
-    # Whether four fitted the heap left by earlier work decided the
-    # process's peak memory.  The arithmetic, and so every value, is
-    # that of np.where(present, mean + uniform * half_width, nan).
-    values = rng.uniform(-1.0, 1.0, size=(n, d))
+    try:
+        # Presence is drawn in row blocks into one bool matrix: the draws are
+        # those of one (n, d) draw, without its n x d float temporary.
+        present = np.empty((n, d), dtype=bool)
+        for rows in row_blocks(n, d):
+            block = present[rows]
+            np.less(rng.random(block.shape), freq_targets, out=block)
+        # Built in place: one transient n x d float buffer instead of four.
+        # Whether four fitted the heap left by earlier work decided the
+        # process's peak memory.  The arithmetic, and so every value, is
+        # that of np.where(present, mean + uniform * half_width, nan).
+        values = rng.uniform(-1.0, 1.0, size=(n, d))
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
+        raise CapacityError(f"n x d = {n} x {d} does not fit in memory") from exc
     values *= half_width[None, :]
     values += mean_targets[None, :]
     # NaN is filled block by block, so the inverse mask stays block-sized.

@@ -398,11 +398,13 @@ def kvoh_decode_array(bit_sums: np.ndarray, n_reports: np.ndarray, epsilon: floa
     """
     bit_sums = np.asarray(bit_sums, dtype=np.float64)
     n_reports = np.asarray(n_reports, dtype=np.float64)
-    if np.any(bit_sums < 0) or np.any(bit_sums > n_reports[..., None]):
+    if bit_sums.min(initial=0.0) < 0 or np.any(bit_sums.max(axis=-1) > n_reports):
         raise DomainError("bit sums must lie in [0, n_reports]")
     denom = math.expm1(float(epsilon) / 2.0)
     _require_conditioned(denom, "e^{eps/2} - 1")
-    return ((denom + 2.0) * bit_sums - n_reports[..., None]) / denom
+    estimates = (denom + 2.0) * bit_sums
+    estimates -= n_reports[..., None]  # in place: a broadcast operand blocks numpy's temporary elision
+    return np.divide(estimates, denom, out=estimates)
 
 
 def stats_from_estimates(estimates: np.ndarray, n_reports: np.ndarray):

@@ -326,6 +326,15 @@ def test_generate_rejects_a_nan_spread_as_a_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_past_memory_is_a_capacity_error(tmp_path, capsys):
+    # Used to end in a numpy _ArrayMemoryError traceback with exit 1.
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--dist", "gaussian", "--d", "100", "--n", "10000000000000",
+                 "--out", str(out)]) == 3
+    assert "error[domain]: n x d = 10000000000000 x 100 does not fit in memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["cost", "--d", ","], ["bounds", "--epsilon", ","], ["bounds", "--epsilon", " "]])
 def test_an_empty_number_list_is_a_config_error(capsys, argv):
     # Used to end in an IndexError traceback from printing an empty table.

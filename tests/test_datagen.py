@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kvldp.conditional import Condition
-from kvldp.core import DomainError, RandomSource
+from kvldp.core import CapacityError, DomainError, RandomSource
 from kvldp.datagen import (
     Dataset,
     gen_regime,
@@ -110,6 +110,16 @@ def test_generators_reject_a_nan_or_negative_value_spread(spread):
     with pytest.raises(DomainError, match="value spread"):
         gen_regime("high", "low", 3, 5, seed=0, value_spread=spread)
     assert gen_regime("high", "low", 3, 5, seed=0, value_spread=0.0).n == 5
+
+
+@pytest.mark.parametrize("n", [10 ** 13, 2 ** 62])
+def test_generators_raise_capacity_error_when_numpy_refuses_the_matrix(n):
+    # 10^15 presence bytes exceed any address space (MemoryError), and 2^62 x 100
+    # elements exceed numpy's largest array (ValueError); numpy refuses both at once.
+    with pytest.raises(CapacityError, match="does not fit in memory"):
+        gen_synthetic("gaussian", 100, n, seed=0)
+    with pytest.raises(CapacityError, match="does not fit in memory"):
+        gen_regime("high", "low", 100, n, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from kvldp.conditional import (
     _PERUSER_BLOCK_ELEMENTS,
     AggregateVector,
     Condition,
+    _product_sum,
     _product_values,
-    _signed_value_sum,
+    aggregate_from_bit_sums,
     frequency_count,
     ioh_index_population,
     simulate_ioh_bit_sums,
@@ -60,6 +61,7 @@ from kvldp.mechanisms import (
     f2m_encode_population,
     f2m_state_channel,
     kvoh_channel,
+    kvoh_decode_array,
     kvoh_encode_population,
     kvue_channel,
     kvue_encode_population,
@@ -642,6 +644,11 @@ def _ref_materialize(freq_targets, mean_targets, n, rng, value_spread):
 DIGIT_SETS = [(0, 2), (1,), (0, 1, 2), (0,), (2,)]
 
 
+def _slices(digit_sets):
+    """Each ascending digit set as the slice that selects it along a base-3 axis."""
+    return [slice(s[0], s[-1] + 1, 2 if s == (0, 2) else 1) for s in digit_sets]
+
+
 def _aggregate(d, seed):
     """Calibrated-looking values over 16 decades, so any change of summation order shows."""
     rng = np.random.default_rng(seed)
@@ -660,7 +667,7 @@ def _digit_products(d, seed, count):
 def test_product_sums_match_the_index_gather(d):
     agg = _aggregate(d, d)
     for sets in _digit_products(d, d + 1, 30):
-        got = _product_values(agg.values, sets)
+        got = _product_values(agg.values, _slices(sets))
         want = agg.values[_ref_product_indices(sets)]
         assert got.tobytes() == want.tobytes()
         assert np.float64(got.sum()).tobytes() == np.float64(want.sum()).tobytes()
@@ -684,7 +691,8 @@ def test_frequency_and_signed_sums_match_the_index_gather(d):
             plus = float(agg.values[_ref_product_indices(sets)].sum())
             sets[k] = (0,)
             minus = float(agg.values[_ref_product_indices(sets)].sum())
-            assert repr(_signed_value_sum(agg, k, augmented)) == repr(plus - minus)
+            signed = _product_sum(agg, augmented, k, 2) - _product_sum(agg, augmented, k, 0)
+            assert repr(signed) == repr(plus - minus)
 
 
 def _block_sizes(row_size, block_elements=65536):
@@ -731,6 +739,23 @@ def test_peruser_simulation_memory_is_bounded_by_its_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * block_bytes
+
+
+@pytest.mark.parametrize("calibrate", [
+    lambda sums: kvoh_decode_array(sums, 1000, 1.0),
+    lambda sums: aggregate_from_bit_sums(sums, 1000, 10, 1.0),
+], ids=["kvoh_decode_array", "aggregate_from_bit_sums"])
+def test_calibrating_a_full_record_vector_makes_no_third_temporary(calibrate):
+    # The float copy of the integer bit sums and the result are two 3^d
+    # float vectors; a broadcast subtraction that numpy cannot elide is a third.
+    sums = np.random.default_rng(92).integers(0, 1001, 3 ** 10)
+    tracemalloc.start()
+    try:
+        calibrate(sums)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 3 ** 10 * 8
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (500, 2), (3000, 5), (2000, 12)])
