@@ -31,6 +31,7 @@ from .harness import (
     ExperimentConfig,
     check_format,
     check_mechanisms,
+    check_method,
     default_value_study,
     default_value_spread_ratio,
     emit,
@@ -78,7 +79,7 @@ OPTIONS = {
             "vbar": (float, _DEFAULTS.default_value), **_COMMON},
     "conditional": {"dims": (_numbers(int), (2, 4, 8)), "epsilon": (_numbers(float), (4.0,)),
                     "reps": (int, 20), "n": _DATASET["n"], "dataset": (str, None),
-                    "target": (parse_key_name, None), "cond": (str, None), "method": (str, "column"),
+                    "target": (parse_key_name, None), "cond": (str, None), "method": (check_method, "column"),
                     **_COMMON},
     "default-study": {**_DATASET, "vbar": (_numbers(float), DEFAULT_VBAR_GRID),
                       "epsilon": (_numbers(float), (0.5, 1.0)), "reps": (int, _DEFAULTS.repetitions),
@@ -201,6 +202,7 @@ def _cmd_run(args) -> int:
                               seed=opts.seed, default_value=opts.vbar, workers=opts.workers)
     ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
     result = run_sweep(config, ds, per_key=args.per_key)
+    _print_failures(result.failures)  # before emit, which refuses a table that every cell failed
     header = {**config.as_dict(), "dataset": ds.provenance}
     emit(rows_to_dicts(result.rows, timing=args.timing), opts.format, opts.out, config=header)
     summary = summarize(result.rows)
@@ -213,7 +215,6 @@ def _cmd_run(args) -> int:
             rng = RandomSource(opts.seed).substream(_TRACE_TAG, mi).generator()
             write_trace(os.path.join(args.trace, f"{mechanism}.txt"), mechanism, ds,
                         config.epsilons[0], rng, config.default_value)
-    _print_failures(result.failures)
     for message in soft_checks(summary):
         print(f"soft-check: {message}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {opts.out}")
@@ -262,17 +263,18 @@ def _cmd_default_study(args) -> int:
     ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
     detail, summary, failures = default_value_study(ds, opts.vbar, opts.epsilon, opts.reps, opts.seed,
                                                     workers=opts.workers)
+    _print_failures(failures)
     header = {"vbars": list(opts.vbar), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
               "seed": opts.seed, "dataset": ds.provenance}
     emit(detail, opts.format, opts.out, config=header)
     emit(summary, opts.format, _sibling_path(opts.out, "summary"), config=header)
-    _print_failures(failures)
     for epsilon, ratio in sorted(default_value_spread_ratio(summary).items()):
         print(f"eps={epsilon:g}: mean-AE max/min across default values = {ratio:.3f}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    check_format(args.format)
     mechanisms = [entry.mechanism for entry in check_mechanisms(str(args.mechanisms).split(","))]
     epsilons = _parse("epsilon", _numbers(float), args.epsilon)
     rows = []
@@ -293,6 +295,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    check_format(args.format)
     rows = []
     for d in _parse("d", _numbers(int), args.d):
         for mechanism in Mechanism:

@@ -6,7 +6,8 @@ contributes the digit key_bit * value_sign + 1 (0 = present negative,
 on a domain of 3^d positions: every bit of the number's one-hot vector is
 flipped by kvoh_bit_channel at budget eps/2, which composes to eps since
 two one-hot vectors differ in two bits, and kvoh_decode_array calibrates
-the summed vectors to unbiased per-index user counts.
+the summed vectors to unbiased per-index user counts.  The aggregator sees
+only those sums, so the simulation draws them from their exact law.
 
 L-way conditional queries sum calibrated positions over Cartesian-product
 index sets: a key constrained present contributes digits {0,2},
@@ -40,9 +41,6 @@ from .mechanisms import kvoh_bit_channel, kvoh_decode_array
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
 # reasonable in-memory object.
 IOH_DIMENSION_CAP = 12
-
-# Bits per row block of the peruser simulation (8 MB of uniforms).
-_PERUSER_BLOCK_ELEMENTS = 1 << 20
 
 # At most 18 digits, so int() never meets its digit limit.
 _KEY_NAME = re.compile("k([1-9][0-9]{0,17})")
@@ -188,37 +186,22 @@ def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
 def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str = "column") -> IOHSample:
     """Draw the aggregated bit sums of an encoded population.
 
-    method='peruser' materializes every user's 3^d bit vector: the one-hot
-    of the record's index with every bit flipped at budget eps/2, which is
-    the report each user sends.  method='column' exploits that all n * 3^d
-    perturbed bits are independent, so each column sum is distributed as
-    Binomial(c_i, p) + Binomial(n - c_i, 1-p) with c_i the true count at
-    position i; this samples from exactly the same law at O(3^d) cost and
-    is what makes d=8 experiments tractable.  The peruser reports are
-    drawn and summed in row blocks of at most 2^20 bits, so its memory
-    does not grow with n.
+    Each user would send the one-hot of its record index with every bit
+    flipped at budget eps/2.  All n * 3^d perturbed bits are independent,
+    so each column sum is exactly Binomial(c_i, p) + Binomial(n - c_i, 1-p)
+    with c_i the true count at position i.  The one method, 'column',
+    samples that law at O(3^d) cost without drawing any user's vector.
     """
+    if method != "column":
+        raise DomainError(f"unknown simulation method {method!r}; the one method is 'column'")
     g = ensure_generator(rng)
     indices = ioh_index_population(values, g)  # checks the dimension
     n, d = values.shape
-    size = 3 ** d
     flip, keep = kvoh_bit_channel(epsilon)[1]
-    if method == "column":
-        true_counts = np.bincount(indices, minlength=size)
-        kept = g.binomial(true_counts, keep)
-        spurious = g.binomial(n - true_counts, flip)
-        return IOHSample(kept + spurious, n)
-    if method == "peruser":
-        positions = np.arange(size, dtype=np.int64)
-        bit_sums = np.zeros(size, dtype=np.int64)
-        for rows in row_blocks(n, size, _PERUSER_BLOCK_ELEMENTS):
-            onehot = indices[rows, None] == positions[None, :]
-            u = g.random(onehot.shape)
-            bits = (onehot & (u < keep)) | (~onehot & (u < flip))
-            bit_sums += bits.sum(axis=0)
-            del onehot, u, bits  # freed before the next block draws its uniforms
-        return IOHSample(bit_sums, n)
-    raise DomainError(f"unknown simulation method {method!r}")
+    true_counts = np.bincount(indices, minlength=3 ** d)
+    kept = g.binomial(true_counts, keep)
+    spurious = g.binomial(n - true_counts, flip)
+    return IOHSample(kept + spurious, n)
 
 
 # ---------------------------------------------------------------------------

@@ -146,43 +146,46 @@ def gen_regime(frequency_regime: str, mean_regime: str, d: int, n: int, seed: in
 def _scan_rows(path, rating_scale, max_rows, max_users):
     """Yield (user_id, item_id, value) from a user,item,rating[,...] file.
 
-    Comma- or tab-delimited with an optional header row, both auto-detected.
-    Ratings are affinely mapped from [lo, hi] onto [-1, 1].  The same
-    admission rules (row cap, first-seen user cap) are applied on every
-    scan so two passes see identical data.
+    UTF-8 text, comma- or tab-delimited with an optional header row, both
+    auto-detected.  Ratings are affinely mapped from [lo, hi] onto [-1, 1].
+    The same admission rules (row cap, first-seen user cap) are applied on
+    every scan so two passes see identical data.
     """
     lo, hi = rating_scale
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"rating scale must satisfy min < max, got {rating_scale!r}")
     admitted_users = {}
     rows_seen = 0
-    with open(path, newline="") as handle:
-        sample = handle.readline()
-        delimiter = "\t" if "\t" in sample else ","
-        handle.seek(0)
-        reader = csv.reader(handle, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise DomainError(f"{path}: line {lineno}: expected at least 3 columns, got {len(row)}")
-            user, item, rating_text = row[0].strip(), row[1].strip(), row[2].strip()
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise DomainError(f"{path}: line {lineno}: rating {rating_text!r} is not a number")
-            if not lo <= rating <= hi:
-                raise DomainError(f"{path}: line {lineno}: rating {rating} outside scale [{lo}, {hi}]")
-            if max_rows is not None and rows_seen >= max_rows:
-                return
-            rows_seen += 1
-            if user not in admitted_users:
-                if max_users is not None and len(admitted_users) >= max_users:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            sample = handle.readline()
+            delimiter = "\t" if "\t" in sample else ","
+            handle.seek(0)
+            reader = csv.reader(handle, delimiter=delimiter)
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
                     continue
-                admitted_users[user] = True
-            yield user, item, 2.0 * (rating - lo) / (hi - lo) - 1.0
+                if len(row) < 3:
+                    raise DomainError(f"{path}: line {lineno}: expected at least 3 columns, got {len(row)}")
+                user, item, rating_text = row[0].strip(), row[1].strip(), row[2].strip()
+                try:
+                    rating = float(rating_text)
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    raise DomainError(f"{path}: line {lineno}: rating {rating_text!r} is not a number")
+                if not lo <= rating <= hi:
+                    raise DomainError(f"{path}: line {lineno}: rating {rating} outside scale [{lo}, {hi}]")
+                if max_rows is not None and rows_seen >= max_rows:
+                    return
+                rows_seen += 1
+                if user not in admitted_users:
+                    if max_users is not None and len(admitted_users) >= max_users:
+                        continue
+                    admitted_users[user] = True
+                yield user, item, 2.0 * (rating - lo) / (hi - lo) - 1.0
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path}: not a readable ratings file: {exc}") from exc
 
 
 def _item_sort_key(items):
@@ -212,20 +215,15 @@ def ingest_ratings(path, top_k: int, rating_scale=(1.0, 5.0), max_rows=None, max
     chosen = ranked[: min(int(top_k), len(ranked))]
     key_of = {item: index for index, item in enumerate(chosen)}
 
-    user_rows = {}
-    user_order = []
+    user_rows = {}  # in order of each user's first kept rating
     for user, item, value in _scan_rows(path, rating_scale, max_rows, max_users):
         key = key_of.get(item)
-        if key is None:
-            continue
-        if user not in user_rows:
-            user_rows[user] = {}
-            user_order.append(user)
-        user_rows[user][key] = value
+        if key is not None:
+            user_rows.setdefault(user, {})[key] = value
 
-    values = np.full((len(user_order), len(chosen)), np.nan)
-    for i, user in enumerate(user_order):
-        for key, value in user_rows[user].items():
+    values = np.full((len(user_rows), len(chosen)), np.nan)
+    for i, ratings in enumerate(user_rows.values()):
+        for key, value in ratings.items():
             values[i, key] = value
     provenance = {"generator": "ingest_ratings", "path": str(path), "top_k": int(top_k),
                   "rating_scale": [float(rating_scale[0]), float(rating_scale[1])],

@@ -88,6 +88,13 @@ def check_format(fmt) -> str:
     return fmt
 
 
+def check_method(method) -> str:
+    """method itself; ConfigError unless it is a simulation method ('column' is the one method)."""
+    if method != "column":
+        raise ConfigError(f"unknown simulation method {method!r}; choose column")
+    return method
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mechanisms: tuple = MECHANISMS
@@ -172,21 +179,18 @@ def estimate_population(values: np.ndarray, mechanism: str, epsilon: float, rng,
     return entry.decode(table, epsilon, default_value)
 
 
+def _ae_mse(errors) -> tuple:
+    """(mean, mean square) of absolute errors; NaN for none."""
+    return (float(errors.mean()), float((errors ** 2).mean())) if errors.size else (math.nan, math.nan)
+
+
 def _error_metrics(frequency, mean, defined, truth: GroundTruth):
     freq_err = np.abs(frequency - truth.frequency)
-    valid_freq = ~np.isnan(freq_err)
-    freq_ae = float(freq_err[valid_freq].mean()) if valid_freq.any() else math.nan
-    freq_mse = float((freq_err[valid_freq] ** 2).mean()) if valid_freq.any() else math.nan
     truth_defined = ~np.isnan(truth.mean)
     usable = defined & truth_defined & ~np.isnan(mean)
-    if usable.any():
-        mean_err = np.abs(mean[usable] - truth.mean[usable])
-        mean_ae = float(mean_err.mean())
-        mean_mse = float((mean_err ** 2).mean())
-    else:
-        mean_ae = math.nan
-        mean_mse = math.nan
     undefined = int((truth_defined & ~usable).sum())
+    freq_ae, freq_mse = _ae_mse(freq_err[~np.isnan(freq_err)])
+    mean_ae, mean_mse = _ae_mse(np.abs(mean[usable] - truth.mean[usable]))
     return freq_ae, freq_mse, mean_ae, mean_mse, undefined
 
 
@@ -390,8 +394,7 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
     epsilons = _check_grid(epsilons, repetitions, workers)
-    if method not in ("column", "peruser"):
-        raise ConfigError(f"unknown simulation method {method!r}; choose column or peruser")
+    check_method(method)
     queries = queries if queries is not None else default_conditional_queries(ds.d)
     oracle = [true_conditional(ds, k, cond) for k, cond in queries]
 

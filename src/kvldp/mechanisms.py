@@ -462,6 +462,27 @@ def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_valu
 BOUND_VACUOUS = math.inf
 
 
+# kvue's calibration factor is (e^eps + 2) / (e^eps - 1) and kvoh's
+# (e^{eps/2} + 1) / (e^{eps/2} - 1): both (1 + a w) / (1 - w) with
+# w = e^{-eps * scale}, keyed to (a, scale).
+_UNARY_FACTORS = {Mechanism.KVUE: (2.0, 1.0), Mechanism.KVOH: (1.0, 0.5)}
+
+
+def _check_bound_inputs(mechanism, epsilon: float, n: int, delta: float, f_k: float = 1.0):
+    """(Mechanism, log(2/delta)); DomainError on a bad input, IllConditionedError where the factors blow up."""
+    mechanism = Mechanism(mechanism)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _require_conditioned(math.tanh(epsilon / 2.0), "tanh(eps/2)")  # the decoders' floor, about eps = 2e-12
+    if not n >= 1:
+        raise DomainError(f"n must be at least 1, got {n!r}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    if not 0.0 < f_k <= 1.0:
+        raise DomainError(f"f_k must lie in (0, 1], got {f_k!r}")
+    return mechanism, math.log(2.0 / delta)
+
+
 def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float, f_k: float):
     """Hoeffding-style (frequency, mean) error bounds for one key.
 
@@ -472,30 +493,14 @@ def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float
     budget of the individual channel (key or value), matching the
     single-epsilon form of its derivation.
     """
-    mechanism = Mechanism(mechanism)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < f_k <= 1.0:
-        raise DomainError(f"f_k must lie in (0, 1], got {f_k!r}")
-    log_term = math.log(2.0 / delta)
+    mechanism, log_term = _check_bound_inputs(mechanism, epsilon, n, delta, f_k)
     root_2l = math.sqrt(2.0 * log_term)
-    if mechanism is Mechanism.KVUE:
-        w = math.exp(-epsilon)
-        factor = (1.0 + 2.0 * w) / (1.0 - w)  # (e^eps + 2) / (e^eps - 1)
-        freq_bound = factor * math.sqrt(2.0 / n * log_term)
-        denom = (1.0 - w) * f_k * math.sqrt(n) - (1.0 + 2.0 * w) * root_2l
-        mean_bound = (1.0 + 2.0 * w) * root_2l / denom if denom > 0 else BOUND_VACUOUS
-        return freq_bound, mean_bound
-    if mechanism is Mechanism.KVOH:
-        w = math.exp(-epsilon / 2.0)
-        factor = (1.0 + w) / (1.0 - w)  # (e^{eps/2} + 1) / (e^{eps/2} - 1)
-        freq_bound = factor * math.sqrt(2.0 / n * log_term)
-        denom = f_k * (1.0 - w) * math.sqrt(n) - (1.0 + w) * root_2l
-        mean_bound = (1.0 + w) * root_2l / denom if denom > 0 else BOUND_VACUOUS
+    if mechanism in _UNARY_FACTORS:
+        a, scale = _UNARY_FACTORS[mechanism]
+        w = math.exp(-epsilon * scale)
+        freq_bound = (1.0 + a * w) / (1.0 - w) * math.sqrt(2.0 / n * log_term)
+        denom = (1.0 - w) * f_k * math.sqrt(n) - (1.0 + a * w) * root_2l
+        mean_bound = (1.0 + a * w) * root_2l / denom if denom > 0 else BOUND_VACUOUS
         return freq_bound, mean_bound
     if mechanism is Mechanism.F2M:
         factor = 1.0 / math.tanh(epsilon / 2.0)  # (e^eps + 1) / (e^eps - 1)
@@ -509,15 +514,12 @@ def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float
 
 def count_deviation_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float) -> float:
     """Bound on |N_i* - N_i| holding with probability at least 1 - delta."""
-    mechanism = Mechanism(mechanism)
-    log_term = math.log(2.0 / delta)
-    if mechanism is Mechanism.KVUE:
-        w = math.exp(-epsilon)
-        return (1.0 + 2.0 * w) / (1.0 - w) * math.sqrt(n / 2.0 * log_term)
-    if mechanism is Mechanism.KVOH:
-        w = math.exp(-epsilon / 2.0)
-        return (1.0 + w) / (1.0 - w) * math.sqrt(n / 2.0 * log_term)
-    raise DomainError(f"no count deviation bound for mechanism {mechanism.value!r}")
+    mechanism, log_term = _check_bound_inputs(mechanism, epsilon, n, delta)
+    if mechanism not in _UNARY_FACTORS:
+        raise DomainError(f"no count deviation bound for mechanism {mechanism.value!r}")
+    a, scale = _UNARY_FACTORS[mechanism]
+    w = math.exp(-epsilon * scale)
+    return (1.0 + a * w) / (1.0 - w) * math.sqrt(n / 2.0 * log_term)
 
 
 def report_size_bits(mechanism: Mechanism, d: int) -> float:

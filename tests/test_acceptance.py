@@ -229,7 +229,7 @@ def test_criterion_5_conditional_oracle_equivalence():
     start = time.perf_counter()
 
     def noiseless_aggregate(values, seed):
-        sample = simulate_ioh_bit_sums(values, 50.0, RandomSource(seed).generator(), method="peruser")
+        sample = simulate_ioh_bit_sums(values, 50.0, RandomSource(seed).generator(), method="column")
         return aggregate_from_bit_sums(sample.bit_sums, sample.n_users, values.shape[1], 50.0)
 
     # Table-style worked example on the 3-user toy population.

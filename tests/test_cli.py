@@ -238,6 +238,67 @@ def test_unknown_format_is_rejected_before_the_grid_runs(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_conditional_rejects_peruser_before_any_dataset_is_built(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a dataset was built before the method was checked")
+
+    monkeypatch.setattr(cli, "gen_regime", fail)
+    monkeypatch.setattr(cli, "_dataset_from_spec", fail)
+    config = tmp_path / "cond.cfg"
+    config.write_text("method = peruser\n")
+    out = tmp_path / "cond.csv"
+    base = ["conditional", "--dims", "2", "--n", "100", "--out", str(out)]
+    for flags in (["--method", "peruser"], ["--dataset", "gaussian", "--method", "peruser"],
+                  ["--config", str(config)]):
+        assert main(base + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "unknown simulation method 'peruser'" in err
+    assert not out.exists()
+
+
+def test_bounds_at_a_vanishing_epsilon_is_a_domain_error(capsys):
+    # Used to end in a ZeroDivisionError traceback with exit 1.
+    for mechanism, epsilon in (("kvue", "1e-17"), ("kvoh", "1e-16"), ("f2m", "5e-324")):
+        assert main(["bounds", "--mechanisms", mechanism, "--epsilon", epsilon]) == 3
+        err = capsys.readouterr().err
+        assert "error[domain]" in err and "epsilon too small" in err
+
+
+@pytest.mark.parametrize("command", [["bounds", "--epsilon", "1"], ["cost", "--d", "10"]])
+def test_table_commands_check_the_format_without_out(capsys, command):
+    # Without --out the table is printed, and any --format used to pass.
+    assert main(command + ["--format", "xml"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown output format 'xml'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--dataset", "gaussian", "--d", "3", "--n", "50", "--mechanisms", "kvue,f2m"],
+    ["default-study", "--dataset", "gaussian", "--d", "3", "--n", "50", "--vbar", "0,1"],
+])
+def test_a_grid_where_every_cell_fails_prints_its_failures_then_exits_3(tmp_path, capsys, command):
+    # The cell-failure lines used to be lost behind "refusing to emit an empty table".
+    out = tmp_path / "x.csv"
+    assert main(command + ["--reps", "1", "--epsilon", "1e-300", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(_cell_failures(err)) == 2 and all("IllConditionedError" in line for line in _cell_failures(err))
+    assert "error[domain]: refusing to emit an empty table" in err.splitlines()[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"u1,a,5\n\xff\xfe,b,3\n", b"u1,a,5\nu2," + b"x" * 131073 + b",3\n"],
+                         ids=["not-utf8", "field-past-csv-limit"])
+def test_ingest_of_an_unreadable_file_is_a_domain_error_naming_it(tmp_path, capsys, content):
+    # Used to end in a UnicodeDecodeError or _csv.Error traceback.
+    raw = tmp_path / "ratings.csv"
+    raw.write_bytes(content)
+    out = tmp_path / "ingested.csv"
+    assert main(["ingest", "--input", str(raw), "--top-k", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error[domain]" in err and "ratings.csv" in err
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "kvldp.cli", "cost", "--d", "10"],

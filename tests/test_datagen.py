@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvldp.conditional import Condition
 from kvldp.core import CapacityError, DomainError, RandomSource
@@ -193,6 +195,43 @@ def test_ingest_row_and_user_limits(tmp_path):
     path = _write(tmp_path / "cap.csv", "\n".join(rows) + "\n")
     assert ingest_ratings(path, top_k=1, max_rows=4).n == 4
     assert ingest_ratings(path, top_k=1, max_users=3).n == 3
+
+
+@pytest.mark.parametrize("content", [b"u1,a,5\n\xff\xfe,b,3\n", b"u1,a,5\nu2," + b"x" * 131073 + b",3\n"],
+                         ids=["not-utf8", "field-past-csv-limit"])
+def test_ingest_rejects_an_unreadable_file_naming_it(tmp_path, content):
+    # Used to raise UnicodeDecodeError and _csv.Error.
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(content)
+    with pytest.raises(DomainError, match="ratings.csv"):
+        ingest_ratings(path, top_k=2)
+
+
+_RATING_FIELDS = st.one_of(st.sampled_from(["u1", "u2", "a", "b", "7", "1", "3", "5", "5.0", "9", "nan", "-inf",
+                                            '"', '"a,b"', "", " ", "x" * 131073]),
+                           st.text(max_size=4))
+_RATING_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(
+        st.lists(st.lists(_RATING_FIELDS, min_size=1, max_size=4).map(",".join), max_size=6).map("\n".join),
+        st.one_of(st.just(b""), st.binary(max_size=3)),
+    ).map(lambda parts: parts[0].encode("utf-8", "surrogatepass") + parts[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_RATING_BYTES, top_k=st.integers(1, 3), max_rows=st.one_of(st.none(), st.integers(-1, 4)),
+       max_users=st.one_of(st.none(), st.integers(0, 3)))
+def test_ingest_fuzz_ends_in_a_dataset_or_a_domain_error(tmp_path_factory, content, top_k, max_rows, max_users):
+    path = tmp_path_factory.mktemp("ratings") / "ratings.csv"
+    path.write_bytes(content)
+    try:
+        ds = ingest_ratings(path, top_k, rating_scale=(1, 5), max_rows=max_rows, max_users=max_users)
+    except DomainError:
+        return
+    present = ds.values[~np.isnan(ds.values)]
+    assert 1 <= ds.d <= top_k and ds.n >= 1 and (np.abs(present) <= 1.0).all()
+    assert (~np.isnan(ds.values)).any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import jsonschema
 
+from kvldp import harness
 from kvldp.conditional import Condition
 from kvldp.core import RandomSource
 from kvldp.datagen import Dataset, gen_regime, gen_synthetic, true_stats
@@ -307,6 +308,16 @@ def test_run_conditional_validation():
     big = Dataset(np.ones((2, 13)))
     with pytest.raises(ConfigError):
         run_conditional(big, epsilons=[1.0], repetitions=1, seed=0)
+
+
+def test_run_conditional_rejects_peruser_before_any_cell_runs(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid ran before the method was checked")
+
+    monkeypatch.setattr(harness, "_run_grid", fail)
+    monkeypatch.setattr(harness, "true_conditional", fail)
+    with pytest.raises(ConfigError, match="unknown simulation method 'peruser'"):
+        run_conditional(Dataset(np.ones((10, 2))), epsilons=[1.0], repetitions=1, seed=0, method="peruser")
 
 
 @pytest.mark.parametrize("workers", [0, -1])

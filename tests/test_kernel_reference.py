@@ -11,7 +11,10 @@ so the kernels draw the same variates in the same order.
 The four hand-written samplers the channel-table sampler replaced are kept
 below as _ref_lpp, _ref_f2m, _ref_kvue and _ref_kvoh.  They draw in another
 order, so the table sampler is checked against them in law: a two-sample
-chi-square test on the (true state, payload code) counts.
+chi-square test on the (true state, payload code) counts.  The per-user
+full-record sampler that simulate_ioh_bit_sums' column law replaced is
+kept as _ref_peruser_bit_sums, the reference of the same test on
+(position, bit sum) counts.
 
 The tie tests build values whose discretization threshold (1 + v) / 2, or a
 budget whose inverse-CDF threshold, equals the uniform drawn for it
@@ -30,7 +33,6 @@ import numpy as np
 import pytest
 
 from kvldp.conditional import (
-    _PERUSER_BLOCK_ELEMENTS,
     AggregateVector,
     Condition,
     _product_sum,
@@ -392,15 +394,19 @@ def _joint_counts(batch: ReportBatch) -> np.ndarray:
     return np.bincount(batch.true_states.astype(np.int64) * size + batch.codes, minlength=3 * size)
 
 
+def _pearson(table: np.ndarray):
+    """(Pearson's homogeneity statistic, dof) of a two-row count table, empty columns dropped."""
+    table = table[:, table.sum(axis=0) > 0]
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
+
+
 def _homogeneity(name, new_epsilon, old_epsilon, vbar, seed):
     """(statistic, dof) of the table sampler's joint counts against the old sampler's."""
     values = _matrix(60000, 3, seed)
     new = PROTOCOLS[name].encode(values, new_epsilon, vbar, RandomSource(seed, 1).generator())
     old = OLD_SAMPLERS[name](values, old_epsilon, vbar, RandomSource(seed, 2).generator())
-    table = np.stack([_joint_counts(new), _joint_counts(old)])
-    table = table[:, table.sum(axis=0) > 0]
-    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
-    return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
+    return _pearson(np.stack([_joint_counts(new), _joint_counts(old)]))
 
 
 @pytest.mark.parametrize("name", MECHANISMS)
@@ -414,6 +420,43 @@ def test_table_sampler_matches_the_old_sampler_in_law(name, epsilon):
 def test_homogeneity_rejects_the_old_sampler_at_another_budget(name):
     statistic, dof = _homogeneity(name, 1.3, 1.0, 0.5, 170 + MECHANISMS.index(name))
     assert statistic > _chi_square_critical(dof), (name, statistic)
+
+
+# simulate_ioh_bit_sums' column law held against the per-user reference,
+# _ref_peruser_bit_sums, which draws and sums every user's bit vector.  Over repeated draws on one small population the two give a
+# two-row table of (position, bit sum) counts; cells with fewer than 10
+# draws on both sides together are pooled into one.  Each position gets
+# exactly one draw per repetition, a margin the statistic does not
+# subtract, so it runs a little below its chi-square and errs toward
+# passing: at 40 seeds its z averaged -0.5, and 1.2 against 1.0 still
+# failed 10 seeds in 10.
+
+_COLUMN_USERS, _COLUMN_DIMENSION = 20, 2
+
+
+def _column_homogeneity(new_epsilon, old_epsilon, seed, repetitions=2000):
+    """(statistic, dof) of simulate_ioh_bit_sums' (position, bit sum) counts against the reference's."""
+    values = _matrix(_COLUMN_USERS, _COLUMN_DIMENSION, seed)
+    new, old = RandomSource(seed, 1).generator(), RandomSource(seed, 2).generator()
+    sums = np.array([[simulate_ioh_bit_sums(values, new_epsilon, new).bit_sums,
+                      _ref_peruser_bit_sums(values, old_epsilon, old)] for _ in range(repetitions)])
+    # Cell of (position i, bit sum s) is i * (n + 1) + s.
+    cells = sums + np.arange(3 ** _COLUMN_DIMENSION) * (_COLUMN_USERS + 1)
+    size = 3 ** _COLUMN_DIMENSION * (_COLUMN_USERS + 1)
+    table = np.stack([np.bincount(cells[:, side].ravel(), minlength=size) for side in (0, 1)])
+    sparse = table.sum(axis=0) < 10
+    return _pearson(np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)]))
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0])
+def test_column_law_matches_the_per_user_reference(epsilon):
+    statistic, dof = _column_homogeneity(epsilon, epsilon, 190 + int(10 * epsilon))
+    assert statistic < _chi_square_critical(dof), (epsilon, statistic, dof)
+
+
+def test_column_homogeneity_rejects_the_per_user_reference_at_another_budget():
+    statistic, dof = _column_homogeneity(1.3, 1.0, 230)
+    assert statistic > _chi_square_critical(dof), (statistic, dof)
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
@@ -443,14 +486,6 @@ def test_ioh_index_population_matches_reference(shape, seed):
     values = _matrix(*shape, seed + 40)
     g, ref = _generators(seed)
     _assert_identical(ioh_index_population(values, g), _ref_ioh_index(values, ref), g, ref)
-
-
-@pytest.mark.parametrize("epsilon", EPSILONS)
-def test_peruser_bit_sums_match_reference(epsilon):
-    values = _matrix(300, 4, 50)
-    g, ref = _generators(51)
-    sample = simulate_ioh_bit_sums(values, epsilon, g, method="peruser")
-    _assert_identical(sample.bit_sums, _ref_peruser_bit_sums(values, epsilon, ref), g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +730,9 @@ def test_frequency_and_signed_sums_match_the_index_gather(d):
             assert repr(signed) == repr(plus - minus)
 
 
-def _block_sizes(row_size, block_elements=65536):
-    """n below one block, exactly two blocks, and one row past a block."""
-    rows = max(1, block_elements // row_size)
+def _block_sizes(row_size):
+    """n below one row_blocks block, exactly two blocks, and one row past a block."""
+    rows = max(1, 65536 // row_size)
     return [max(1, rows // 3), 2 * rows, rows + 1]
 
 
@@ -714,31 +749,6 @@ def test_row_blocks_cover_every_row_once():
         blocks = row_blocks(n, row_size, block)
         assert np.arange(n).tolist() == [i for rows in blocks for i in range(n)[rows]]
         assert all(len(range(n)[rows]) * row_size <= max(block, row_size) for rows in blocks)
-
-
-def test_blocked_peruser_simulation_matches_reference_across_blocks():
-    d = 8
-    for n in _block_sizes(3 ** d, _PERUSER_BLOCK_ELEMENTS)[1:]:
-        values = _matrix(n, d, 80 + n)
-        g, ref = _generators(81)
-        sample = simulate_ioh_bit_sums(values, 1.0, g, method="peruser")
-        _assert_identical(sample.bit_sums, _ref_peruser_bit_sums(values, 1.0, ref), g, ref)
-
-
-def test_peruser_simulation_memory_is_bounded_by_its_block():
-    # One-shot, 1000 users at d=8 need 52 MB of uniforms alone; a block is
-    # 8 MB, and a block's uniforms are freed before the next block's are drawn.
-    d, n = 8, 1000
-    values = _matrix(n, d, 90)
-    block_bytes = 8 * _PERUSER_BLOCK_ELEMENTS
-    assert 8 * n * 3 ** d > 6 * block_bytes
-    tracemalloc.start()
-    try:
-        simulate_ioh_bit_sums(values, 1.0, RandomSource(91).generator(), method="peruser")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * block_bytes
 
 
 @pytest.mark.parametrize("calibrate", [

@@ -553,6 +553,32 @@ def test_bound_vacuous_marker_and_domain_errors():
         theoretical_bound(Mechanism.KVUE, -1.0, 100, 0.05, 0.5)
 
 
+@pytest.mark.parametrize("mechanism, epsilon", [
+    (Mechanism.KVUE, 1e-17), (Mechanism.KVOH, 1e-16), (Mechanism.F2M, 5e-324), (Mechanism.KVUE, 1e-12),
+])
+def test_bounds_at_a_vanishing_epsilon_are_ill_conditioned(mechanism, epsilon):
+    # Each used to end in a ZeroDivisionError from its calibration factor.
+    with pytest.raises(IllConditionedError, match="epsilon too small"):
+        theoretical_bound(mechanism, epsilon, 1000, 0.05, 0.5)
+    if mechanism is not Mechanism.F2M:
+        with pytest.raises(IllConditionedError, match="epsilon too small"):
+            count_deviation_bound(mechanism, epsilon, 1000, 0.05)
+    assert theoretical_bound(mechanism, 2e-12, 1000, 0.05, 0.5)[0] < math.inf
+
+
+@pytest.mark.parametrize("epsilon, n, delta, match", [
+    (1.0, 1000, 2.0, "delta"), (1.0, 1000, 0.0, "delta"), (1.0, 1000, math.nan, "delta"),
+    (-1.0, 1000, 0.05, "epsilon"), (math.inf, 1000, 0.05, "epsilon"), (math.nan, 1000, 0.05, "epsilon"),
+    (1.0, -5, 0.05, "n must"), (1.0, 0, 0.05, "n must"), (1.0, math.nan, 0.05, "n must"),
+])
+def test_count_deviation_bound_checks_its_inputs(epsilon, n, delta, match):
+    # delta=2 used to return 0.0, epsilon=-1 a negative bound and n=-5 a
+    # math domain error.
+    for mechanism in (Mechanism.KVUE, Mechanism.KVOH):
+        with pytest.raises(DomainError, match=match):
+            count_deviation_bound(mechanism, epsilon, n, delta)
+
+
 def test_report_size_bits_frozen_values():
     assert report_size_bits(Mechanism.PRIVKV, 100) == pytest.approx(math.log2(300), rel=1e-12)
     assert report_size_bits(Mechanism.KVUE, 100) == pytest.approx(math.log2(300), rel=1e-12)
