@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .conditional import Condition, parse_key_name, save_aggregate
+from .conditional import IOH_DIMENSION_CAP, Condition, parse_key_name, save_aggregate
 from .core import DomainError, RandomSource
 from .datagen import (
     FREQUENCY_REGIMES,
@@ -29,6 +29,7 @@ from .harness import (
     DEFAULT_VBAR_GRID,
     ConfigError,
     ExperimentConfig,
+    _format_cell,
     check_format,
     check_mechanisms,
     check_method,
@@ -58,6 +59,32 @@ def _numbers(kind):
     return parse
 
 
+def _choice(*names):
+    """A parser accepting exactly one of names."""
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"choose from {', '.join(names)}")
+        return text
+    return parse
+
+
+def _names(text):
+    return text.split(",")
+
+
+def _dims(text):
+    dims = _numbers(int)(text)
+    if not all(1 <= d <= IOH_DIMENSION_CAP for d in dims):
+        raise ValueError(f"each dimension must lie in 1..{IOH_DIMENSION_CAP}")
+    return dims
+
+
+def _scale(text):
+    if len(scale := _numbers(float)(text)) != 2:
+        raise ValueError("needs exactly two numbers, min,max")
+    return scale
+
+
 def _parse(name: str, parse, text):
     """parse(text), with any failure a ConfigError naming the option."""
     try:
@@ -66,36 +93,51 @@ def _parse(name: str, parse, text):
         raise ConfigError(f"cannot parse --{name} {text!r}: {exc}") from exc
 
 
-# The options of run, conditional and default-study.  Each name is a long
-# flag and a --config key, mapped to the parser of its text and its
-# default; a value comes from the flag, else the file, else the default.
+# The options of every command.  Each name is a long flag (and, for the
+# commands that take --config, a config key), mapped to the parser of its
+# text and its default; a default of ... marks a required option.  A value
+# comes from the flag, else the file, else the default.
 _DEFAULTS = ExperimentConfig()
-_DATASET = {"dataset": (str, None), "d": (int, 100), "n": (int, 100000)}
+_SIZE = {"d": (int, 100), "n": (int, 100000)}
+_DATASET = {"dataset": (str, None), **_SIZE}
+_OUTPUT = {"out": (str, None), "format": (check_format, "csv")}
 _COMMON = {"seed": (int, _DEFAULTS.seed), "workers": (int, _DEFAULTS.workers),
-           "out": (str, None), "format": (check_format, "csv")}
+           "out": (str, ...), "format": _OUTPUT["format"]}
 OPTIONS = {
-    "run": {**_DATASET, "mechanisms": (lambda text: text.split(","), _DEFAULTS.mechanisms),
+    "generate": {"dist": (_choice("gaussian", "uniform", "regime"), ...),
+                 "freq-regime": (_choice(*sorted(FREQUENCY_REGIMES)), None),
+                 "mean-regime": (_choice(*sorted(MEAN_REGIMES)), None),
+                 **_SIZE, "seed": (int, 0), "spread": (float, 0.1), "out": (str, ...)},
+    "ingest": {"input": (str, ...), "top-k": (int, 100), "scale": (_scale, (1.0, 5.0)),
+               "max-rows": (int, None), "max-users": (int, None), "out": (str, ...)},
+    "run": {**_DATASET, "mechanisms": (_names, _DEFAULTS.mechanisms),
             "epsilon": (_numbers(float), _DEFAULTS.epsilons), "reps": (int, _DEFAULTS.repetitions),
             "vbar": (float, _DEFAULTS.default_value), **_COMMON},
-    "conditional": {"dims": (_numbers(int), (2, 4, 8)), "epsilon": (_numbers(float), (4.0,)),
-                    "reps": (int, 20), "n": _DATASET["n"], "dataset": (str, None),
+    "conditional": {"dims": (_dims, (2, 4, 8)), "epsilon": (_numbers(float), (4.0,)),
+                    "reps": (int, 20), "n": _SIZE["n"], "dataset": (str, None),
                     "target": (parse_key_name, None), "cond": (str, None), "method": (check_method, "column"),
                     **_COMMON},
     "default-study": {**_DATASET, "vbar": (_numbers(float), DEFAULT_VBAR_GRID),
                       "epsilon": (_numbers(float), (0.5, 1.0)), "reps": (int, _DEFAULTS.repetitions),
                       **_COMMON},
+    "bounds": {"mechanisms": (_names, ("f2m", "kvue", "kvoh")), "epsilon": (_numbers(float), DEFAULT_EPSILON_GRID),
+               "n": (int, 1000), "delta": (float, 0.05), "f": (float, 0.5), **_OUTPUT},
+    "cost": {"d": (_numbers(int), (100,)), **_OUTPUT},
 }
+_HELP = {"dist": "gaussian | uniform | regime (with --freq-regime/--mean-regime)",
+         "spread": "half-width of per-user value jitter", "scale": "rating scale min,max"}
 
 
 def _options(args) -> argparse.Namespace:
     """The table options of args.command, each parsed from its flag, else --config, else defaulted.
 
-    An unknown --config key, a file that is not UTF-8 text, an unparsable
-    value, a missing --out or an unknown --format is a ConfigError.
+    A dash in a name becomes an underscore in its attribute.  An unknown
+    --config key, a file that is not UTF-8 text, an unparsable value or a
+    missing required option is a ConfigError.
     """
     table = OPTIONS[args.command]
     file_values = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as handle:
                 lines = list(handle)
@@ -114,12 +156,13 @@ def _options(args) -> argparse.Namespace:
             file_values[key] = value
     options = argparse.Namespace()
     for name, (parse, default) in table.items():
-        text = getattr(args, name)
+        attribute = name.replace("-", "_")
+        text = getattr(args, attribute)
         if text is None:
             text = file_values.get(name)
-        setattr(options, name, default if text is None else _parse(name, parse, text))
-    if options.out is None:
-        raise ConfigError(f"--out is required for {args.command}")
+        if text is None and default is ...:
+            raise ConfigError(f"--{name} is required for {args.command}")
+        setattr(options, attribute, default if text is None else _parse(name, parse, text))
     return options
 
 
@@ -151,53 +194,44 @@ def _print_failures(failures):
         print(f"cell-failure: {failure}", file=sys.stderr)
 
 
-def _print_table(rows):
-    columns = list(rows[0].keys())
-    widths = {c: max(len(c), *(len(_cell(r[c])) for r in rows)) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(_cell(row[c]).ljust(widths[c]) for c in columns))
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return "%.6g" % value
-    return str(value)
+def _print_or_emit(rows, opts):
+    """Write rows to --out, else print them as an aligned table."""
+    if opts.out:
+        emit(rows, opts.format, opts.out)
+        return
+    cells = [{column: _format_cell(value) for column, value in row.items()} for row in rows]
+    widths = {c: max(len(c), *(len(r[c]) for r in cells)) for c in cells[0]}
+    print("  ".join(c.ljust(widths[c]) for c in widths))
+    for row in cells:
+        print("  ".join(row[c].ljust(widths[c]) for c in widths))
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes its table options and the parsed command line
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args) -> int:
-    seed, d, n = (_parse(name, int, getattr(args, name)) for name in ("seed", "d", "n"))
-    if args.dist in ("gaussian", "uniform"):
-        ds = gen_synthetic(args.dist, d, n, seed, value_spread=args.spread)
-    elif args.dist == "regime":
-        if not args.freq_regime or not args.mean_regime:
+def _cmd_generate(opts, args) -> int:
+    if opts.dist == "regime":
+        if not opts.freq_regime or not opts.mean_regime:
             raise ConfigError("--dist regime requires --freq-regime and --mean-regime")
-        ds = gen_regime(args.freq_regime, args.mean_regime, d, n, seed, value_spread=args.spread)
+        ds = gen_regime(opts.freq_regime, opts.mean_regime, opts.d, opts.n, opts.seed, value_spread=opts.spread)
     else:
-        raise ConfigError(f"unknown distribution {args.dist!r}")
-    save_dataset(ds, args.out)
-    print(f"wrote {ds.n} users x {ds.d} keys to {args.out}")
+        ds = gen_synthetic(opts.dist, opts.d, opts.n, opts.seed, value_spread=opts.spread)
+    save_dataset(ds, opts.out)
+    print(f"wrote {ds.n} users x {ds.d} keys to {opts.out}")
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    scale = _parse("scale", _numbers(float), args.scale)
-    if len(scale) != 2:
-        raise ConfigError(f"--scale needs exactly two numbers, got {args.scale!r}")
-    ds = ingest_ratings(args.input, args.top_k, rating_scale=scale,
-                        max_rows=args.max_rows, max_users=args.max_users)
-    save_dataset(ds, args.out)
-    print(f"ingested {ds.n} users x {ds.d} keys from {args.input} to {args.out}")
+def _cmd_ingest(opts, args) -> int:
+    ds = ingest_ratings(opts.input, opts.top_k, rating_scale=opts.scale,
+                        max_rows=opts.max_rows, max_users=opts.max_users)
+    save_dataset(ds, opts.out)
+    print(f"ingested {ds.n} users x {ds.d} keys from {opts.input} to {opts.out}")
     return 0
 
 
-def _cmd_run(args) -> int:
-    opts = _options(args)
+def _cmd_run(opts, args) -> int:
     config = ExperimentConfig(mechanisms=opts.mechanisms, epsilons=opts.epsilon, repetitions=opts.reps,
                               seed=opts.seed, default_value=opts.vbar, workers=opts.workers)
     ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
@@ -221,16 +255,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_conditional(args) -> int:
-    opts = _options(args)
+def _cmd_conditional(opts, args) -> int:
     if opts.cond is not None and opts.target is None:
         raise ConfigError("--cond requires --target")
-    all_rows = []
+    loaded = None  # a --dataset file, loaded once and checked against every dimension before any grid
+    if opts.dataset is not None and os.path.exists(opts.dataset):
+        loaded = load_dataset(opts.dataset)
+        if mismatched := [d for d in opts.dims if d != loaded.d]:
+            raise ConfigError(f"--dims {mismatched[0]} does not match the {loaded.d} keys of dataset {opts.dataset}")
+    all_rows, aggregate = [], None
     for di, d in enumerate(opts.dims):
-        if opts.dataset is not None:
+        if loaded is not None:
+            ds = loaded
+        elif opts.dataset is not None:
             ds = _dataset_from_spec(opts.dataset, d, opts.n, opts.seed)
-            if ds.d != d:
-                raise ConfigError(f"--dims {d} does not match the {ds.d} keys of dataset {opts.dataset}")
         else:
             gen_seed = RandomSource(opts.seed).substream(_DATASET_TAG, di).stream_id
             ds = gen_regime("high", "low", d, opts.n, gen_seed)
@@ -249,17 +287,17 @@ def _cmd_conditional(args) -> int:
                 print(f"agg-out skipped: cell d={ds.d} epsilon={epsilon!r} repetition=0 failed, "
                       f"{args.agg_out} not written", file=sys.stderr)
             else:
-                save_aggregate(first_conditional_aggregate(ds, epsilon, opts.seed, opts.method),
-                               args.agg_out, seed=opts.seed)
+                aggregate = first_conditional_aggregate(ds, epsilon, opts.seed, opts.method)
     emit(all_rows, opts.format, opts.out,
          config={"dims": list(opts.dims), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
                  "seed": opts.seed, "n": ds.n, "method": opts.method})
     print(f"wrote {len(all_rows)} rows to {opts.out}")
+    if aggregate is not None:  # after --out, so that a bad --agg-out path keeps the table
+        save_aggregate(aggregate, args.agg_out, seed=opts.seed)
     return 0
 
 
-def _cmd_default_study(args) -> int:
-    opts = _options(args)
+def _cmd_default_study(opts, args) -> int:
     ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
     detail, summary, failures = default_value_study(ds, opts.vbar, opts.epsilon, opts.reps, opts.seed,
                                                     workers=opts.workers)
@@ -273,42 +311,25 @@ def _cmd_default_study(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    check_format(args.format)
-    mechanisms = [entry.mechanism for entry in check_mechanisms(str(args.mechanisms).split(","))]
-    epsilons = _parse("epsilon", _numbers(float), args.epsilon)
+def _cmd_bounds(opts, args) -> int:
     rows = []
-    for mechanism in mechanisms:
-        for epsilon in epsilons:
-            freq_bound, mean_bound = theoretical_bound(mechanism, epsilon, args.n, args.delta, args.f)
+    for entry in check_mechanisms(opts.mechanisms):
+        for epsilon in opts.epsilon:
+            freq_bound, mean_bound = theoretical_bound(entry.mechanism, epsilon, opts.n, opts.delta, opts.f)
             rows.append({
-                "mechanism": mechanism.value, "epsilon": epsilon, "n": args.n,
-                "delta": args.delta, "f_k": args.f,
+                "mechanism": entry.mechanism.value, "epsilon": epsilon, "n": opts.n,
+                "delta": opts.delta, "f_k": opts.f,
                 "freq_bound": freq_bound,
                 "mean_bound": mean_bound if mean_bound != float("inf") else "vacuous",
             })
-    if args.out:
-        emit(rows, args.format, args.out)
-    else:
-        _print_table(rows)
+    _print_or_emit(rows, opts)
     return 0
 
 
-def _cmd_cost(args) -> int:
-    check_format(args.format)
-    rows = []
-    for d in _parse("d", _numbers(int), args.d):
-        for mechanism in Mechanism:
-            rows.append({
-                "d": d,
-                "mechanism": mechanism.value,
-                "nominal_bits": report_size_bits(mechanism, d),
-                "packed_bits": packed_size_bits(mechanism, d),
-            })
-    if args.out:
-        emit(rows, args.format, args.out)
-    else:
-        _print_table(rows)
+def _cmd_cost(opts, args) -> int:
+    _print_or_emit([{"d": d, "mechanism": mechanism.value, "nominal_bits": report_size_bits(mechanism, d),
+                     "packed_bits": packed_size_bits(mechanism, d)}
+                    for d in opts.d for mechanism in Mechanism], opts)
     return 0
 
 
@@ -316,78 +337,41 @@ def _cmd_cost(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-
-def _add_options(parser, command: str):
-    for name in OPTIONS[command]:
-        parser.add_argument(f"--{name}")
-    parser.add_argument("--config", help="key=value file supplying defaults for the flags above")
+# Each command's handler, its help line and its command-line-only flags.
+_CONFIG = {"--config": {"help": "key=value file supplying defaults for the flags above"}}
+_COMMANDS = {
+    "generate": (_cmd_generate, "write a synthetic dataset file", {}),
+    "ingest": (_cmd_ingest, "build a dataset from a user,item,rating file", {}),
+    "run": (_cmd_run, "mechanism x epsilon x repetition sweep", {
+        **_CONFIG, "--per-key": {"action": "store_true", "help": "also write per-key estimate rows"},
+        "--timing": {"action": "store_true", "help": "include wall-time column (breaks byte determinism)"},
+        "--trace": {"help": "directory for wire-format report traces (first epsilon)"}}),
+    "conditional": (_cmd_conditional, "conditional frequency/mean experiment vs oracle", {
+        **_CONFIG, "--agg-out": {"help": "persist the first cell's calibrated aggregate vector"}}),
+    "default-study": (_cmd_default_study, "f2m default-value sensitivity study", _CONFIG),
+    "bounds": (_cmd_bounds, "print closed-form error bound tables", {}),
+    "cost": (_cmd_cost, "per-report communication cost table", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kvldp",
                                      description="Locally private key-value collection simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic dataset file")
-    p.add_argument("--dist", required=True,
-                   help="gaussian | uniform | regime (with --freq-regime/--mean-regime)")
-    p.add_argument("--freq-regime", choices=sorted(FREQUENCY_REGIMES))
-    p.add_argument("--mean-regime", choices=sorted(MEAN_REGIMES))
-    p.add_argument("--d", default=100)
-    p.add_argument("--n", default=100000)
-    p.add_argument("--seed", default=0)
-    p.add_argument("--spread", type=float, default=0.1, help="half-width of per-user value jitter")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("ingest", help="build a dataset from a user,item,rating file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--top-k", type=int, default=100)
-    p.add_argument("--scale", default="1,5", help="rating scale min,max")
-    p.add_argument("--max-rows", type=int)
-    p.add_argument("--max-users", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("run", help="mechanism x epsilon x repetition sweep")
-    _add_options(p, "run")
-    p.add_argument("--per-key", action="store_true", help="also write per-key estimate rows")
-    p.add_argument("--timing", action="store_true", help="include wall-time column (breaks byte determinism)")
-    p.add_argument("--trace", help="directory for wire-format report traces (first epsilon)")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("conditional", help="conditional frequency/mean experiment vs oracle")
-    _add_options(p, "conditional")
-    p.add_argument("--agg-out", help="persist the first cell's calibrated aggregate vector")
-    p.set_defaults(func=_cmd_conditional)
-
-    p = sub.add_parser("default-study", help="f2m default-value sensitivity study")
-    _add_options(p, "default-study")
-    p.set_defaults(func=_cmd_default_study)
-
-    p = sub.add_parser("bounds", help="print closed-form error bound tables")
-    p.add_argument("--mechanisms", default="f2m,kvue,kvoh")
-    p.add_argument("--epsilon", default=",".join(map(str, DEFAULT_EPSILON_GRID)))
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--f", type=float, default=0.5)
-    p.add_argument("--out")
-    p.add_argument("--format", default="csv")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("cost", help="per-report communication cost table")
-    p.add_argument("--d", default="100")
-    p.add_argument("--out")
-    p.add_argument("--format", default="csv")
-    p.set_defaults(func=_cmd_cost)
-
+    for command, (func, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in OPTIONS[command]:
+            p.add_argument(f"--{name}", help=_HELP.get(name))
+        for flag, settings in flags.items():
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_options(args), args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

@@ -231,6 +231,8 @@ def _digit_slices(alpha, beta, target=None, digit=None) -> list:
 
 
 def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
+    if cond.d != agg.d:
+        raise DomainError(f"condition length {cond.d} does not match aggregate dimension {agg.d}")
     return float(_product_values(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit)).sum())
 
 
@@ -265,10 +267,7 @@ def frequency_count(agg: AggregateVector, alpha, beta) -> float:
     with gamma & alpha == beta; computed directly as one Cartesian-product
     sum since those index sets partition it.
     """
-    condition = Condition(tuple(alpha), tuple(beta))
-    if condition.d != agg.d:
-        raise DomainError(f"condition length {condition.d} does not match aggregate dimension {agg.d}")
-    return _product_sum(agg, condition)
+    return _product_sum(agg, Condition(tuple(alpha), tuple(beta)))
 
 
 # A calibrated count below one user carries no signal; ratios against it
@@ -296,11 +295,11 @@ def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> floa
 def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
     """Estimated mean value of key k among matching users holding it; NaN if degenerate."""
     augmented = cond.augmented(k)
-    holders = frequency_count(agg, augmented.alpha, augmented.beta)
+    positive, negative = _product_sum(agg, augmented, k, 2), _product_sum(agg, augmented, k, 0)
+    holders = positive + negative  # the target key's {0, 2} digits, summed once
     if _degenerate(holders):
         return math.nan
-    signed = _product_sum(agg, augmented, k, 2) - _product_sum(agg, augmented, k, 0)
-    return float(np.clip(signed / holders, -1.0, 1.0))
+    return float(np.clip((positive - negative) / holders, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

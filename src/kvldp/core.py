@@ -121,13 +121,11 @@ class PrivacyBudget:
         return self.epsilon_key + self.epsilon_value
 
     @classmethod
-    def split(cls, epsilon_total: float, key_share: float = 0.5) -> "PrivacyBudget":
-        """Split a total budget; the default is the even split eps/2 + eps/2."""
+    def split(cls, epsilon_total: float) -> "PrivacyBudget":
+        """The even split eps/2 + eps/2; construct the budget directly for any other split."""
         if not (math.isfinite(epsilon_total) and epsilon_total > 0):
             raise DomainError(f"epsilon_total must be positive and finite, got {epsilon_total!r}")
-        if not 0 < key_share < 1:
-            raise DomainError(f"key_share must lie in (0, 1), got {key_share!r}")
-        return cls(epsilon_total * key_share, epsilon_total * (1.0 - key_share))
+        return cls(epsilon_total / 2.0, epsilon_total / 2.0)
 
 
 class DiscretizedState(enum.IntEnum):
@@ -181,7 +179,8 @@ def atomic_writer(path):
     Writes go to a hidden temporary file in the target's directory, which
     os.replace renames over the target on success and which is removed on
     failure: a reader never sees a half-written file, and a write that
-    fails part-way leaves the earlier file intact.
+    fails part-way leaves the earlier file intact.  Any OSError is raised
+    again as one naming ``path``, not the temporary file.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
@@ -190,7 +189,9 @@ def atomic_writer(path):
         with open(temp, "x", newline="\n") as handle:
             yield handle
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise

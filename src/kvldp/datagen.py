@@ -282,7 +282,9 @@ def true_conditional(ds: Dataset, k: int, cond: Condition):
 _DATASET_MAGIC = "# kvldp-dataset "
 _ROW_FORMAT = "%d,%d,%.17g\n"
 _ROW_DTYPE = np.dtype("int64,int64,float64")
-# Rows formatted or parsed per step; bounds the transient memory of both.
+# Values formatted per step by save_dataset (a row_blocks element budget, so
+# 65536 // d rows) and lines parsed per step by load_dataset; bounds the
+# transient memory of both.
 _CHUNK_ROWS = 65536
 
 

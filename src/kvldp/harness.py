@@ -518,11 +518,8 @@ def emit(rows, fmt: str, path, config: dict = None):
             "rows": [[_json_cell(row[c]) for c in columns] for row in rows],
         }
         payload = json.dumps(document, sort_keys=True, indent=1) + "\n"
-    try:
-        with atomic_writer(path) as handle:
-            handle.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with atomic_writer(path) as handle:
+        handle.write(payload)
 
 
 _INT_PATTERN = re.compile(r"^-?\d+$")

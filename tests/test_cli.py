@@ -319,14 +319,19 @@ def test_json_output_format(tmp_path):
 
 
 _LONG_FLAGS = {
+    "generate": {"--dist", "--freq-regime", "--mean-regime", "--d", "--n", "--seed", "--spread", "--out"},
+    "ingest": {"--input", "--top-k", "--scale", "--max-rows", "--max-users", "--out"},
     "run": {"--dataset", "--mechanisms", "--epsilon", "--reps", "--seed", "--vbar", "--workers", "--d",
             "--n", "--out", "--format", "--config", "--per-key", "--timing", "--trace"},
     "conditional": {"--dims", "--epsilon", "--reps", "--seed", "--n", "--dataset", "--target", "--cond",
                     "--method", "--workers", "--out", "--format", "--config", "--agg-out"},
     "default-study": {"--dataset", "--vbar", "--epsilon", "--reps", "--seed", "--workers", "--d", "--n",
                       "--out", "--format", "--config"},
+    "bounds": {"--mechanisms", "--epsilon", "--n", "--delta", "--f", "--out", "--format"},
+    "cost": {"--d", "--out", "--format"},
 }
 _COMMAND_LINE_ONLY = {"--config", "--per-key", "--timing", "--trace", "--agg-out"}
+_CONFIGURABLE = sorted(command for command, flags in _LONG_FLAGS.items() if "--config" in flags)
 
 
 @pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
@@ -349,7 +354,7 @@ def test_run_defaults_are_those_of_experiment_config():
         defaults.workers)
 
 
-@pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
+@pytest.mark.parametrize("command", _CONFIGURABLE)
 def test_an_unknown_config_key_is_a_config_error_naming_it(tmp_path, capsys, command):
     # "rep=3" used to be ignored: the command ran its default repetitions and exited 0.
     config_file = tmp_path / "exp.conf"
@@ -361,7 +366,7 @@ def test_an_unknown_config_key_is_a_config_error_naming_it(tmp_path, capsys, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(_LONG_FLAGS))
+@pytest.mark.parametrize("command", _CONFIGURABLE)
 def test_a_config_file_that_is_not_utf8_text_is_a_config_error(tmp_path, capsys, command):
     # Used to escape as a UnicodeDecodeError traceback.
     config_file = tmp_path / "exp.conf"
@@ -419,7 +424,77 @@ def test_conditional_rejects_dims_that_differ_from_the_dataset_file(tmp_path, ca
     assert header["dims"] == [5] and header["n"] == 300 and {row["d"] for row in rows} == {5}
 
 
-_CONFIG_KEYS = sorted({key for table in cli.OPTIONS.values() for key in table})
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before every option was checked")
+
+
+def test_conditional_checks_every_dimension_before_any_work(tmp_path, capsys, monkeypatch):
+    # --dims 2,13 used to run the whole d=2 grid, then build the 13-key dataset and exit 2.
+    for name in ("gen_regime", "load_dataset", "_dataset_from_spec", "run_conditional"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "c.csv"
+    for dims in ("2,13", "0,2", "13"):
+        assert main(["conditional", "--dims", dims, "--n", "200", "--reps", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error[config]: cannot parse --dims '{dims}': each dimension must lie in 1..12" in err
+    assert not out.exists()
+
+
+def test_conditional_checks_a_dataset_file_against_every_dimension_before_any_grid(tmp_path, capsys, monkeypatch):
+    # --dims 5,3 on a 5-key file used to run the d=5 grid before it rejected 3.
+    dataset = tmp_path / "ds.csv"
+    assert main(["generate", "--dist", "gaussian", "--d", "5", "--n", "50", "--out", str(dataset)]) == 0
+    monkeypatch.setattr(cli, "run_conditional", _no_work)
+    out = tmp_path / "c.csv"
+    assert main(["conditional", "--dataset", str(dataset), "--dims", "5,3", "--reps", "1", "--out", str(out)]) == 2
+    assert "error[config]: --dims 3 does not match the 5 keys of dataset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_agg_out_path_keeps_the_conditional_table(tmp_path, capsys):
+    # --out used to be written after --agg-out, so a bad --agg-out lost the run,
+    # and the error named a hidden temporary file.
+    out = tmp_path / "c.csv"
+    agg_out = tmp_path / "nodir" / "a.txt"
+    assert main(["conditional", "--dims", "2", "--n", "200", "--reps", "1", "--out", str(out),
+                 "--agg-out", str(agg_out)]) == 4
+    err = capsys.readouterr().err
+    assert f"error[io]: cannot write {agg_out}:" in err and ".tmp" not in err
+    _, rows = parse_table(out)
+    assert {row["d"] for row in rows} == {2}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--d", "3", "--n", "5"], "--dist is required for generate"),
+    (["generate", "--dist", "gaussian", "--n", "x"], "cannot parse --n 'x'"),
+    (["generate", "--dist", "lognormal"], "cannot parse --dist 'lognormal'"),
+    (["generate", "--dist", "regime", "--freq-regime", "bogus", "--mean-regime", "low"],
+     "cannot parse --freq-regime 'bogus'"),
+    (["generate", "--dist", "uniform", "--spread", "wide"], "cannot parse --spread 'wide'"),
+    (["ingest", "--top-k", "2"], "--input is required for ingest"),
+    (["ingest", "--input", "RATINGS", "--top-k", "x"], "cannot parse --top-k 'x'"),
+    (["ingest", "--input", "RATINGS", "--scale", "1"], "cannot parse --scale '1': needs exactly two numbers"),
+    (["ingest", "--input", "RATINGS", "--max-rows", "1.5"], "cannot parse --max-rows '1.5'"),
+    (["bounds", "--n", "x"], "cannot parse --n 'x'"),
+    (["bounds", "--delta", "small"], "cannot parse --delta 'small'"),
+    (["cost", "--d", "x"], "cannot parse --d 'x'"),
+])
+def test_newly_tabled_commands_report_bad_options_as_config_errors_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # Each of these used to be an argparse usage error, or reached the body before failing.
+    for name in ("gen_synthetic", "gen_regime", "ingest_ratings", "theoretical_bound", "report_size_bits"):
+        monkeypatch.setattr(cli, name, _no_work)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("u1,a,5\n")
+    out = tmp_path / "x.csv"
+    argv = [str(ratings) if arg == "RATINGS" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error[config]: {message}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+_CONFIG_KEYS = sorted({key for command in _CONFIGURABLE for key in cli.OPTIONS[command]})
 _CONFIG_LINES = st.one_of(
     st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = "]),
               st.text("0123456789.,-+ek:regimhlowcsvjnaf\u0662 ", max_size=8)).map("".join),
@@ -429,7 +504,7 @@ _CONFIG_LINES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_LONG_FLAGS)), st.lists(_CONFIG_LINES, max_size=4).map("\n".join))
+@given(st.sampled_from(_CONFIGURABLE), st.lists(_CONFIG_LINES, max_size=4).map("\n".join))
 def test_config_file_fuzz_ends_in_resolved_options_or_a_config_error(tmp_path_factory, command, text):
     config_file = tmp_path_factory.mktemp("conf") / "exp.conf"
     config_file.write_text(text, encoding="utf-8", newline="")

@@ -195,9 +195,8 @@ def test_privacy_budget_composition():
     budget = PrivacyBudget.split(1.0)
     assert budget.epsilon_key + budget.epsilon_value == pytest.approx(budget.epsilon_total)
     assert budget.epsilon_key == pytest.approx(0.5)
-    lopsided = PrivacyBudget.split(2.0, key_share=0.25)
-    assert lopsided.epsilon_key == pytest.approx(0.5)
-    assert lopsided.epsilon_value == pytest.approx(1.5)
+    lopsided = PrivacyBudget(0.5, 1.5)
+    assert lopsided.epsilon_total == pytest.approx(2.0)
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(DomainError):
             PrivacyBudget.split(bad)

@@ -629,6 +629,23 @@ def test_atomic_writer_failure_keeps_earlier_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+_WRITERS = {
+    "emit": lambda path: emit([{"a": 1}], "csv", path),
+    "save_dataset": lambda path: save_dataset(gen_synthetic("gaussian", 3, 5, seed=1), path),
+    "save_aggregate": lambda path: save_aggregate(AggregateVector(np.zeros(9), n_users=4, d=2, epsilon=1.0), path),
+    "write_trace": lambda path: write_trace(path, "kvue", gen_synthetic("gaussian", 3, 5, seed=1), 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_write_into_a_missing_directory_names_its_target(tmp_path, writer):
+    # The error used to name the hidden temporary file, .out.txt.<pid>.<hex>.tmp.
+    path = tmp_path / "nodir" / "out.txt"
+    with pytest.raises(OSError) as info:
+        _WRITERS[writer](path)
+    assert str(info.value).startswith(f"cannot write {path}: ") and ".tmp" not in str(info.value)
+
+
 def test_save_dataset_failing_part_way_keeps_earlier_file(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     earlier = gen_synthetic("gaussian", 4, 30, seed=1)
