@@ -263,6 +263,8 @@ def _cmd_conditional(opts, args) -> int:
         loaded = load_dataset(opts.dataset)
         if mismatched := [d for d in opts.dims if d != loaded.d]:
             raise ConfigError(f"--dims {mismatched[0]} does not match the {loaded.d} keys of dataset {opts.dataset}")
+    if opts.target is not None:  # valid at the smallest dimension, so at every one, before any grid
+        Condition.parse(opts.cond or "", min(opts.dims)).augmented(opts.target)
     all_rows, aggregate = [], None
     for di, d in enumerate(opts.dims):
         if loaded is not None:

@@ -127,7 +127,7 @@ class Condition:
         if not 0 <= k < self.d:
             raise DomainError(f"target key {k} outside domain of size {self.d}")
         if self.alpha[k]:
-            raise DomainError(f"target key {k} is already constrained by the condition")
+            raise DomainError(f"target key {k} must not be constrained by the condition")
         alpha = list(self.alpha)
         beta = list(self.beta)
         alpha[k] = 1
@@ -190,7 +190,8 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     flipped at budget eps/2.  All n * 3^d perturbed bits are independent,
     so each column sum is exactly Binomial(c_i, p) + Binomial(n - c_i, 1-p)
     with c_i the true count at position i.  The one method, 'column',
-    samples that law at O(3^d) cost without drawing any user's vector.
+    samples that law without drawing any user's vector: flipped-on bits at
+    all 3^d positions, then kept bits at occupied ones (Binomial(0, p) = 0).
     """
     if method != "column":
         raise DomainError(f"unknown simulation method {method!r}; the one method is 'column'")
@@ -199,9 +200,10 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     n, d = values.shape
     flip, keep = kvoh_bit_channel(epsilon)[1]
     true_counts = np.bincount(indices, minlength=3 ** d)
-    kept = g.binomial(true_counts, keep)
-    spurious = g.binomial(n - true_counts, flip)
-    return IOHSample(kept + spurious, n)
+    bit_sums = g.binomial(n - true_counts, flip)
+    held = np.flatnonzero(true_counts)
+    bit_sums[held] += g.binomial(true_counts[held], keep)
+    return IOHSample(bit_sums, n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +211,19 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
 # ---------------------------------------------------------------------------
 
 
+def _product_view(values: np.ndarray, digit_slices) -> np.ndarray:
+    """values at the Cartesian product of per-key digit slices: a strided (3,) * d view."""
+    return values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]
+
+
 def _product_values(values: np.ndarray, digit_slices) -> np.ndarray:
     """values at the Cartesian product of per-key digit slices, in ascending index order.
 
-    The product is a strided view of values as a (3,) * d tensor.  It is
-    copied to a contiguous vector before any reduction: that vector holds
-    the same entries in the same order as a gather by ascending index, so
-    its sum is the same pairwise sum bit for bit, where a sum over the
-    strided view would run in another order.
+    A contiguous copy of _product_view: the positions that
+    frequency_index_set and mean_index_sets return.  _product_sum sums the
+    view itself, without the copy, in numpy's order for the view.
     """
-    view = values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]
-    return np.ascontiguousarray(view).ravel()
+    return np.ascontiguousarray(_product_view(values, digit_slices)).ravel()
 
 
 def _digit_slices(alpha, beta, target=None, digit=None) -> list:
@@ -233,7 +237,7 @@ def _digit_slices(alpha, beta, target=None, digit=None) -> list:
 def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
     if cond.d != agg.d:
         raise DomainError(f"condition length {cond.d} does not match aggregate dimension {agg.d}")
-    return float(_product_values(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit)).sum())
+    return float(_product_view(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit)).sum())
 
 
 def frequency_index_set(gamma) -> np.ndarray:

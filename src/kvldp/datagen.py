@@ -247,32 +247,41 @@ def true_stats(ds: Dataset) -> GroundTruth:
     return GroundTruth(frequency, mean)
 
 
-def true_conditional(ds: Dataset, k: int, cond: Condition):
-    """Exact conditional (frequency, mean) of key k by brute-force filtering.
+def true_conditionals(ds: Dataset, queries) -> list:
+    """Exact conditional (frequency, mean) of every (k, cond) query by brute-force filtering.
 
-    Filters users whose key-existence pattern matches the condition, then
-    counts key-k holders among them and averages their raw values.  NaN
-    marks an empty conditioned population / no holders.
+    Each query counts key-k holders among the users whose key-existence
+    pattern matches its condition and averages their raw values; NaN marks
+    an empty conditioned population / no holders.  Each key's presence
+    column, and each target's values, are read once for all the queries.
     """
-    if cond.d != ds.d:
-        raise DomainError(f"condition length {cond.d} does not match dataset dimension {ds.d}")
-    if not 0 <= k < ds.d:
-        raise DomainError(f"target key {k} outside domain of size {ds.d}")
-    if cond.alpha[k]:
-        raise DomainError(f"target key {k} must not be constrained by the condition")
-    matched = np.ones(ds.n, dtype=bool)
-    for key, (a, b) in enumerate(zip(cond.alpha, cond.beta)):
-        if a:
-            matched &= np.isnan(ds.values[:, key]) != bool(b)
-    n_matched = int(matched.sum())
-    if n_matched == 0:
-        return math.nan, math.nan
-    column = ds.values[:, k]
-    holders = matched & ~np.isnan(column)
-    n_holders = int(holders.sum())
-    frequency = n_holders / n_matched
-    mean = float(column[holders].mean()) if n_holders else math.nan
-    return frequency, mean
+    queries = list(queries)
+    for k, cond in queries:
+        if cond.d != ds.d:
+            raise DomainError(f"condition length {cond.d} does not match dataset dimension {ds.d}")
+        if not 0 <= k < ds.d:
+            raise DomainError(f"target key {k} outside domain of size {ds.d}")
+        if cond.alpha[k]:
+            raise DomainError(f"target key {k} must not be constrained by the condition")
+    targets = {k: np.ascontiguousarray(ds.values[:, k]) for k in sorted({k for k, _ in queries})}
+    present = {key: ~np.isnan(ds.values[:, key])
+               for key in sorted(set(targets).union(*(np.flatnonzero(cond.alpha) for _, cond in queries)))}
+    answers = []
+    for k, cond in queries:
+        matched = np.ones(ds.n, dtype=bool)
+        for key in np.flatnonzero(cond.alpha):
+            matched &= present[key] == bool(cond.beta[key])
+        holders = matched & present[k]
+        n_matched, n_holders = np.count_nonzero(matched), np.count_nonzero(holders)
+        # compress gathers the holders' values in row order, as column[holders] does
+        mean = float(np.compress(holders, targets[k]).mean()) if n_holders else math.nan
+        answers.append((n_holders / n_matched, mean) if n_matched else (math.nan, math.nan))
+    return answers
+
+
+def true_conditional(ds: Dataset, k: int, cond: Condition):
+    """Exact conditional (frequency, mean) of key k: the true_conditionals batch of one query."""
+    return true_conditionals(ds, [(k, cond)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .conditional import (
     simulate_ioh_bit_sums,
 )
 from .core import DomainError, RandomSource, atomic_writer, ensure_generator
-from .datagen import Dataset, GroundTruth, true_conditional, true_stats
+from .datagen import Dataset, GroundTruth, true_conditionals, true_stats
 from .mechanisms import PAYLOADS, PROTOCOLS, code_table
 
 MECHANISMS = tuple(PROTOCOLS)
@@ -396,7 +396,7 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     epsilons = _check_grid(epsilons, repetitions, workers)
     check_method(method)
     queries = queries if queries is not None else default_conditional_queries(ds.d)
-    oracle = [true_conditional(ds, k, cond) for k, cond in queries]
+    oracle = true_conditionals(ds, queries)
 
     def work(rng, epsilon, rep):
         agg = _calibrated_aggregate(ds, epsilon, rng, method)

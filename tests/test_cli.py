@@ -440,6 +440,21 @@ def test_conditional_checks_every_dimension_before_any_work(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--dims", "8,2", "--target", "k1", "--cond", "k5=1"], "condition key k5 outside domain of size 2"),
+    (["--dims", "8,2", "--target", "k6"], "target key 5 outside domain of size 2"),
+    (["--dims", "3", "--target", "k2", "--cond", "k2=0"], "target key 1 must not be constrained by the condition"),
+])
+def test_conditional_checks_target_and_condition_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # --dims 8,2 --target k1 --cond k5=1 used to run the whole d=8 grid, then exit 3.
+    for name in ("gen_regime", "load_dataset", "_dataset_from_spec", "run_conditional"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "c.csv"
+    assert main(["conditional", *argv, "--n", "200", "--reps", "1", "--out", str(out)]) == 3
+    assert f"error[domain]: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conditional_checks_a_dataset_file_against_every_dimension_before_any_grid(tmp_path, capsys, monkeypatch):
     # --dims 5,3 on a 5-key file used to run the d=5 grid before it rejected 3.
     dataset = tmp_path / "ds.csv"
@@ -513,3 +528,62 @@ def test_config_file_fuzz_ends_in_resolved_options_or_a_config_error(tmp_path_fa
     except ConfigError:
         return
     assert set(vars(options)) == set(cli.OPTIONS[command]) and options.out == "x.csv"
+
+
+# Per table option, valid values and edge values: zero, negatives, NaN, inf,
+# overflow, empty lists, junk, and paths that are missing, unwritable or
+# not the expected kind of file.  A value starting with @ names a file in
+# the example's own directory.  --n, --reps and --workers are always given,
+# so a run stays at n <= 40, one repetition and at most 2 workers; so are
+# the required options, so that most lines reach a run.
+_NUMBERS = ["0", "-1", "nan", "inf", "1e300", ",", "x"]
+_COUNTS = (["1", "2"], ["0", "-1", "x"])
+_FUZZ_VALUES = {
+    "n": (["1", "2", "40"], ["0", "-3", "1e3", "x"]), "d": (["1", "3", "12"], ["0", "-1", "2,3", "x"]),
+    "reps": (["1"], ["0", "-1", "x"]), "workers": (["1", "2"], ["0", "x"]),
+    "seed": (["0", "7"], ["-1", "18446744073709551616", "x"]),
+    "epsilon": (["0.5", "4", "1,4"], _NUMBERS), "vbar": (["0.5"], [*_NUMBERS, "0.5,1"]),
+    "delta": (["0.05"], _NUMBERS), "f": (["0.5"], _NUMBERS), "spread": (["0.1", "0"], _NUMBERS),
+    "dims": (["2", "1", "3,2", "8,2"], ["13", "0", ",", "x"]),
+    "target": (["k1", "k2"], ["k6", "k0", "k01", "", "x"]),
+    "cond": (["k2=1", "k1=0", ""], ["k5=1", "k2=1,k2=0", "k2=2", "x"]),
+    "method": (["column"], ["peruser", ""]), "mechanisms": (["kvue", "f2m,kvoh", "privkv"], [",", "x"]),
+    "format": (["csv", "json"], ["x"]), "dist": (["gaussian", "uniform", "regime"], ["x"]),
+    "freq-regime": (["high", "extreme_low"], ["x"]), "mean-regime": (["low"], ["x"]),
+    "top-k": (["1", "3"], ["0", "-1", "x"]), "scale": (["1,5"], ["5,1", "1", "nan,5", "x"]),
+    "max-rows": _COUNTS, "max-users": _COUNTS,
+    "out": (["@out.csv", "@ds.csv"], ["@nodir/out.csv", "@"]),
+    "input": (["@ratings.csv"], ["@missing.csv", "@ds.csv", "@"]),
+    "dataset": (["gaussian", "uniform", "regime:high:low", "@ds.csv"], ["regime:x", "@missing.csv", "@ratings.csv", "@"]),
+}
+_ALWAYS = ("n", "reps", "workers")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command line of one subcommand in which at most one option takes an edge value."""
+    command = draw(st.sampled_from(sorted(cli.OPTIONS)))
+    names = list(cli.OPTIONS[command])
+    edge = draw(st.sampled_from([None, *names]))
+    argv = [command]
+    for name in names:
+        valid, edges = _FUZZ_VALUES[name]
+        if name == edge or name in _ALWAYS or cli.OPTIONS[command][name][1] is ... or draw(st.booleans()):
+            argv += [f"--{name}", draw(st.sampled_from(edges if name == edge else valid))]
+    if command == "conditional" and draw(st.booleans()):
+        argv += ["--agg-out", draw(st.sampled_from(["@agg.txt", "@nodir/agg.txt"]))]
+    return argv
+
+
+@settings(max_examples=70, deadline=None)
+@given(_fuzz_argv())
+def test_argv_fuzz_ends_in_a_documented_exit_code(tmp_path_factory, argv):
+    folder = tmp_path_factory.mktemp("argv")
+    (folder / "ratings.csv").write_text("user,item,rating\nu1,a,5\nu2,a,1\nu2,b,3\n")
+    assert main(["generate", "--dist", "gaussian", "--d", "3", "--n", "20", "--out", str(folder / "ds.csv")]) == 0
+    argv = [str(folder / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv

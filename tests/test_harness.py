@@ -315,7 +315,7 @@ def test_run_conditional_rejects_peruser_before_any_cell_runs(monkeypatch):
         raise AssertionError("the grid ran before the method was checked")
 
     monkeypatch.setattr(harness, "_run_grid", fail)
-    monkeypatch.setattr(harness, "true_conditional", fail)
+    monkeypatch.setattr(harness, "true_conditionals", fail)
     with pytest.raises(ConfigError, match="unknown simulation method 'peruser'"):
         run_conditional(Dataset(np.ones((10, 2))), epsilons=[1.0], repetitions=1, seed=0, method="peruser")
 

@@ -14,18 +14,21 @@ order, so the table sampler is checked against them in law: a two-sample
 chi-square test on the (true state, payload code) counts.  The per-user
 full-record sampler that simulate_ioh_bit_sums' column law replaced is
 kept as _ref_peruser_bit_sums, the reference of the same test on
-(position, bit sum) counts.
+(position, bit sum) counts.  So is _ref_column_bit_sums, the column law
+as it was drawn before its kept bits were drawn only at occupied
+positions.
 
 The tie tests build values whose discretization threshold (1 + v) / 2, or a
 budget whose inverse-CDF threshold, equals the uniform drawn for it
 exactly, so a strict comparison turned non-strict changes the output.
 
 The last section keeps the forms that the row-blocked draws, the strided
-query sums and the column-only oracle replaced: one-shot (n, d) draws, a
+query sums and the column-only oracles replaced: one-shot (n, d) draws, a
 gather by ascending product index, and an oracle over the whole presence
 matrix.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -39,7 +42,9 @@ from kvldp.conditional import (
     _product_values,
     aggregate_from_bit_sums,
     frequency_count,
+    frequency_index_set,
     ioh_index_population,
+    mean_index_sets,
     simulate_ioh_bit_sums,
 )
 from kvldp.core import (
@@ -50,7 +55,7 @@ from kvldp.core import (
     row_blocks,
     state_digits,
 )
-from kvldp.datagen import Dataset, _materialize, true_conditional
+from kvldp.datagen import Dataset, _materialize, true_conditional, true_conditionals
 from kvldp.harness import MECHANISMS
 from kvldp.mechanisms import (
     ABSENT,
@@ -62,6 +67,7 @@ from kvldp.mechanisms import (
     ReportBatch,
     f2m_encode_population,
     f2m_state_channel,
+    kvoh_bit_channel,
     kvoh_channel,
     kvoh_decode_array,
     kvoh_encode_population,
@@ -224,6 +230,13 @@ def _ref_peruser_bit_sums(values, epsilon, g):
     onehot = indices[:, None] == np.arange(size, dtype=np.int64)[None, :]
     u = g.random((values.shape[0], size))
     return np.where(onehot, u < keep, u < 1.0 - keep).sum(axis=0)
+
+
+def _ref_column_bit_sums(values, epsilon, g):
+    n, d = values.shape
+    flip, keep = kvoh_bit_channel(epsilon)[1]
+    counts = np.bincount(ioh_index_population(values, g), minlength=3 ** d)
+    return g.binomial(counts, keep) + g.binomial(n - counts, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +436,26 @@ def test_homogeneity_rejects_the_old_sampler_at_another_budget(name):
 
 
 # simulate_ioh_bit_sums' column law held against the per-user reference,
-# _ref_peruser_bit_sums, which draws and sums every user's bit vector.  Over repeated draws on one small population the two give a
-# two-row table of (position, bit sum) counts; cells with fewer than 10
-# draws on both sides together are pooled into one.  Each position gets
-# exactly one draw per repetition, a margin the statistic does not
-# subtract, so it runs a little below its chi-square and errs toward
-# passing: at 40 seeds its z averaged -0.5, and 1.2 against 1.0 still
-# failed 10 seeds in 10.
+# _ref_peruser_bit_sums, which draws and sums every user's bit vector, and
+# against _ref_column_bit_sums, the column law's earlier draw order.  Over
+# repeated draws on one small population (two of its nine positions
+# occupied) the two give a two-row table of (position, bit sum) counts;
+# cells with fewer than 10 draws on both sides together are pooled into
+# one.  Each position gets exactly one draw per repetition, a margin the
+# statistic does not subtract, so it runs a little below its chi-square
+# and errs toward passing: at 40 seeds its z averaged -0.5, and 1.2
+# against 1.0 still failed 10 seeds in 10.
 
 _COLUMN_USERS, _COLUMN_DIMENSION = 20, 2
+COLUMN_REFERENCES = {"per-user": _ref_peruser_bit_sums, "all-positions": _ref_column_bit_sums}
 
 
-def _column_homogeneity(new_epsilon, old_epsilon, seed, repetitions=2000):
+def _column_homogeneity(new_epsilon, old_epsilon, seed, reference, repetitions=2000):
     """(statistic, dof) of simulate_ioh_bit_sums' (position, bit sum) counts against the reference's."""
     values = _matrix(_COLUMN_USERS, _COLUMN_DIMENSION, seed)
     new, old = RandomSource(seed, 1).generator(), RandomSource(seed, 2).generator()
     sums = np.array([[simulate_ioh_bit_sums(values, new_epsilon, new).bit_sums,
-                      _ref_peruser_bit_sums(values, old_epsilon, old)] for _ in range(repetitions)])
+                      COLUMN_REFERENCES[reference](values, old_epsilon, old)] for _ in range(repetitions)])
     # Cell of (position i, bit sum s) is i * (n + 1) + s.
     cells = sums + np.arange(3 ** _COLUMN_DIMENSION) * (_COLUMN_USERS + 1)
     size = 3 ** _COLUMN_DIMENSION * (_COLUMN_USERS + 1)
@@ -450,12 +466,23 @@ def _column_homogeneity(new_epsilon, old_epsilon, seed, repetitions=2000):
 
 @pytest.mark.parametrize("epsilon", [0.5, 2.0])
 def test_column_law_matches_the_per_user_reference(epsilon):
-    statistic, dof = _column_homogeneity(epsilon, epsilon, 190 + int(10 * epsilon))
+    statistic, dof = _column_homogeneity(epsilon, epsilon, 190 + int(10 * epsilon), "per-user")
     assert statistic < _chi_square_critical(dof), (epsilon, statistic, dof)
 
 
 def test_column_homogeneity_rejects_the_per_user_reference_at_another_budget():
-    statistic, dof = _column_homogeneity(1.3, 1.0, 230)
+    statistic, dof = _column_homogeneity(1.3, 1.0, 230, "per-user")
+    assert statistic > _chi_square_critical(dof), (statistic, dof)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0])
+def test_occupied_position_draw_matches_the_all_positions_draw_in_law(epsilon):
+    statistic, dof = _column_homogeneity(epsilon, epsilon, 240 + int(10 * epsilon), "all-positions")
+    assert statistic < _chi_square_critical(dof), (epsilon, statistic, dof)
+
+
+def test_column_homogeneity_rejects_the_all_positions_draw_at_another_budget():
+    statistic, dof = _column_homogeneity(1.3, 1.0, 270, "all-positions")
     assert statistic > _chi_square_critical(dof), (statistic, dof)
 
 
@@ -708,26 +735,51 @@ def test_product_sums_match_the_index_gather(d):
         assert np.float64(got.sum()).tobytes() == np.float64(want.sum()).tobytes()
 
 
+def _assert_same_sum(got, gathered):
+    """got sums gathered's entries in its own order: equal to 1e-9 of their summed magnitudes."""
+    assert abs(got - gathered.sum()) <= 1e-9 * np.abs(gathered).sum(), (got, gathered.sum())
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
 def test_frequency_and_signed_sums_match_the_index_gather(d):
+    # The query sums reduce a strided view, in another order than the gather.
     agg = _aggregate(d, d + 2)
     rng = np.random.default_rng(d + 3)
     for _ in range(20):
         alpha = rng.integers(0, 2, d)
         beta = alpha * rng.integers(0, 2, d)
         sets = [((0, 2) if b else (1,)) if a else (0, 1, 2) for a, b in zip(alpha, beta)]
-        want = float(agg.values[_ref_product_indices(sets)].sum())
-        assert repr(frequency_count(agg, alpha, beta)) == repr(want)
+        _assert_same_sum(frequency_count(agg, alpha, beta), agg.values[_ref_product_indices(sets)])
         free = np.flatnonzero(alpha == 0)
         if free.size:
             k = int(free[0])
             augmented = Condition(tuple(alpha), tuple(beta)).augmented(k)
             sets[k] = (2,)
-            plus = float(agg.values[_ref_product_indices(sets)].sum())
+            plus = agg.values[_ref_product_indices(sets)]
             sets[k] = (0,)
-            minus = float(agg.values[_ref_product_indices(sets)].sum())
+            minus = agg.values[_ref_product_indices(sets)]
             signed = _product_sum(agg, augmented, k, 2) - _product_sum(agg, augmented, k, 0)
-            assert repr(signed) == repr(plus - minus)
+            _assert_same_sum(signed, np.concatenate([plus, -minus]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_query_sums_match_the_index_set_sums_for_every_condition(d):
+    # A condition's positions are the union of the exact patterns gamma that
+    # agree with beta on alpha; so are the plus and minus sets of each target.
+    agg = _aggregate(d, d + 40)
+    patterns = list(itertools.product((0, 1), repeat=d))
+    exact = {gamma: frequency_index_set(gamma) for gamma in patterns}
+    signed = {(k, gamma): mean_index_sets(k, gamma) for gamma in patterns for k in range(d) if gamma[k]}
+    for alpha, beta in itertools.product(patterns, repeat=2):
+        if any(b and not a for a, b in zip(alpha, beta)):
+            continue
+        members = [gamma for gamma in patterns if all(g == b for g, a, b in zip(gamma, alpha, beta) if a)]
+        _assert_same_sum(frequency_count(agg, alpha, beta), agg.values[np.concatenate([exact[g] for g in members])])
+        for k in (key for key in range(d) if not alpha[key]):
+            augmented = Condition(alpha, beta).augmented(k)
+            for digit, side in ((2, 0), (0, 1)):
+                positions = np.concatenate([signed[k, g][side] for g in members if g[k]])
+                _assert_same_sum(_product_sum(agg, augmented, k, digit), agg.values[positions])
 
 
 def _block_sizes(row_size):
@@ -788,6 +840,25 @@ def test_true_conditional_matches_the_full_matrix_form(shape):
             answered += not np.isnan(got).any()
     assert np.isnan(true_conditional(ds, 0, conditions[1])).all()
     assert answered
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (500, 2), (3000, 5), (2000, 12)])
+def test_batched_oracle_matches_each_query_alone(shape):
+    n, d = shape
+    ds = Dataset(_matrix(n, d, 110 + d))
+    rng = np.random.default_rng(111 + d)
+    # "The last key held" matches no user; the last key as target has no holders.
+    conditions = [Condition.empty(d), Condition.parse(f"k{d}=1", d), Condition.parse("k1=1", d)]
+    for _ in range(10):
+        alpha = rng.integers(0, 2, d)
+        conditions.append(Condition(tuple(alpha), tuple(alpha * rng.integers(0, 2, d))))
+    queries = [(k, cond) for cond in conditions for k in range(d) if not cond.alpha[k]]
+    got = np.array(true_conditionals(ds, queries))
+    assert got.tobytes() == np.array([_ref_true_conditional(ds, k, cond) for k, cond in queries]).tobytes()
+    assert got.tobytes() == np.array([true_conditional(ds, k, cond) for k, cond in queries]).tobytes()
+    assert np.isnan(got).all(axis=1).any()  # an empty matched set
+    assert (np.isnan(got[:, 1]) & (got[:, 0] == 0.0)).any()  # matched users, no holders
+    assert not np.isnan(got).any(axis=1).all()  # and answered queries
 
 
 @pytest.mark.parametrize("d", [1, 12])
