@@ -277,8 +277,9 @@ def _cmd_conditional(opts, args) -> int:
         queries = None
         if opts.target is not None:
             queries = [(opts.target, Condition.parse(opts.cond or "", ds.d))]
-        rows = run_conditional(ds, opts.epsilon, opts.reps, opts.seed, queries=queries,
-                               method=opts.method, workers=opts.workers)
+        # --agg-out saves the first grid's cell 0 whole, so that grid draws all 3^d positions.
+        rows = run_conditional(ds, opts.epsilon, opts.reps, opts.seed, queries=queries, method=opts.method,
+                               workers=opts.workers, full_partition=bool(args.agg_out) and di == 0)
         all_rows.extend(rows)
         _print_failures({"d": ds.d, **failure} for failure in rows.failures)
         if args.agg_out and di == 0:

@@ -13,12 +13,19 @@ L-way conditional queries sum calibrated positions over Cartesian-product
 index sets: a key constrained present contributes digits {0,2},
 constrained absent {1}, unconstrained {0,1,2}, and the target key of a
 mean query contributes {2} for the positive part and {0} for the
-negative part.  This module keeps what is specific to full records: the
-record index, the bit-sum simulation, the index algebra and persistence.
+negative part.  So queries read each key through a partition of its
+digits (query_classes) and need only the sums over atoms, the products of
+classes.  Over an atom A the column sums add up to exactly
+Binomial(c_A, p) + Binomial(n|A| - c_A, 1 - p), which Lumping.draw draws
+in O(n + atoms) with every answer's exact joint law; the full 3^d vector
+is the partition into single positions.  This module keeps what is
+specific to full records: the record index, the bit-sum simulation, the
+index algebra and persistence.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -34,7 +41,6 @@ from .core import (
     atomic_writer,
     ensure_generator,
     row_blocks,
-    state_digits,
 )
 from .mechanisms import kvoh_bit_channel, kvoh_decode_array
 
@@ -135,24 +141,45 @@ class Condition:
         return Condition(tuple(alpha), tuple(beta))
 
 
+def _class_maps(classes, d: int) -> tuple:
+    """Per key, a tuple mapping digits 0, 1, 2 to classes; by default every key keeps its digits apart."""
+    return tuple(map(tuple, classes or ((0, 1, 2),) * d))
+
+
 @dataclass(frozen=True)
 class AggregateVector:
-    """Calibrated per-position user-count estimates (may be negative; never clipped)."""
+    """Calibrated user counts (may be negative; never clipped), one per product of per-key classes.
+
+    classes[k] maps key k's digits to its classes; by default each digit is a class (3^d positions).
+    """
 
     values: np.ndarray
     n_users: int
     d: int
     epsilon: float
+    classes: tuple = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", _class_maps(self.classes, self.d))
 
 
-def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float) -> AggregateVector:
-    """Rescale summed bits to unbiased per-position counts with kvoh's calibration.
+def _atom_sizes(classes):
+    """Positions per atom, in atom order; the scalar 1 when every key keeps its digits apart."""
+    per_key = [np.bincount(m) for m in classes]
+    return 1 if all(len(c) == 3 for c in per_key) else functools.reduce(np.multiply.outer, per_key).ravel()
 
-    Entries may come out negative and are deliberately left unclipped so
-    that the counting operators stay linear and marginally consistent.
+
+def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float,
+                            classes=None) -> AggregateVector:
+    """Rescale summed bits to unbiased per-atom counts with kvoh's calibration.
+
+    An atom of |A| positions sums n_users * |A| bits.  Entries may come out
+    negative and are deliberately left unclipped so that the counting
+    operators stay linear and marginally consistent.
     """
-    values = kvoh_decode_array(bit_sums, n_users, epsilon)
-    return AggregateVector(values, int(n_users), int(d), float(epsilon))
+    classes = _class_maps(classes, int(d))
+    values = kvoh_decode_array(np.asarray(bit_sums)[:, None], int(n_users) * _atom_sizes(classes), epsilon)[:, 0]
+    return AggregateVector(values, int(n_users), int(d), float(epsilon), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +192,60 @@ class IOHSample(NamedTuple):
     n_users: int
 
 
+class Lumping:
+    """A population whose atom sums are drawn under per-key digit classes (default: 3^d positions).
+
+    base is each user's atom index with every held key at digit 0; steps[k] moves key k to digit 2.
+    """
+
+    def __init__(self, values: np.ndarray, classes=None):
+        self.values = np.asarray(values, dtype=np.float64)
+        n, d = self.values.shape
+        self.classes = _class_maps(classes, _check_dimension(d))
+        strides = np.cumprod([1] + [max(m) + 1 for m in self.classes[:0:-1]], dtype=np.int64)[::-1]
+        first, absent, second = (np.array([m[digit] for m in self.classes]) * strides for digit in range(3))
+        self.base, self.steps = np.empty(n, dtype=np.int64), second - first
+        for rows in row_blocks(n, d):
+            block = self.values[rows]
+            if np.fmin.reduce(block, None, initial=0.0) < -1.0 or np.fmax.reduce(block, None, initial=0.0) > 1.0:
+                raise DomainError("values must be finite reals in [-1, 1]")
+            self.base[rows] = first.sum() + np.isnan(block) @ (absent - first).astype(np.float64)  # exact below 2^53
+
+    def index(self, g: np.random.Generator) -> np.ndarray:
+        """Every user's atom index: as in state_digits, a held v takes digit 2 when its u < (1 + v) / 2.
+
+        One u per key with a nonzero step, row-major, in row blocks that draw as one (n, keys) draw does.
+        """
+        split = np.flatnonzero(self.steps)
+        index = self.base.copy()
+        for rows in row_blocks(len(index), len(split)):
+            u = g.random((len(index[rows]), len(split)))
+            for j, key in enumerate(split):
+                index[rows] += (u[:, j] < (1.0 + self.values[rows, key]) / 2.0) * self.steps[key]
+        return index
+
+    def bit_sums(self, epsilon: float, g: np.random.Generator) -> np.ndarray:
+        """Per atom A: Binomial(n|A| - c_A, flip) at every atom, plus Binomial(c_A, keep) where c_A > 0."""
+        flip, keep = kvoh_bit_channel(epsilon)[1]
+        counts = np.bincount(self.index(g), minlength=math.prod(max(m) + 1 for m in self.classes))
+        bit_sums = g.binomial(len(self.base) * _atom_sizes(self.classes) - counts, flip)
+        held = np.flatnonzero(counts)
+        bit_sums[held] += g.binomial(counts[held], keep)
+        return bit_sums
+
+    def draw(self, epsilon: float, rng) -> AggregateVector:
+        """One private collection of the population, calibrated per atom (see the module docstring)."""
+        n, d = self.values.shape
+        return aggregate_from_bit_sums(self.bit_sums(epsilon, ensure_generator(rng)), n, d, epsilon, self.classes)
+
+
 def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
     """Base-3 record index of every row of a (n, d) value matrix with NaN = absent.
 
     Key 0 is the most significant digit, and each digit is the cell's
-    state_digits digit.  Rows are indexed in blocks, so the float
-    temporaries stay block-sized while the draws are those of one (n, d)
-    draw.
+    state_digits digit, drawn as one (n, d) draw.
     """
-    n, d = values.shape
-    d = _check_dimension(d)
-    g = ensure_generator(rng)
-    powers = 3 ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    index = np.empty(n, dtype=np.int64)
-    for rows in row_blocks(n, d):
-        index[rows] = state_digits(values[rows], g) @ powers
-    return index
+    return Lumping(values).index(ensure_generator(rng))
 
 
 def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str = "column") -> IOHSample:
@@ -190,20 +255,13 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
     flipped at budget eps/2.  All n * 3^d perturbed bits are independent,
     so each column sum is exactly Binomial(c_i, p) + Binomial(n - c_i, 1-p)
     with c_i the true count at position i.  The one method, 'column',
-    samples that law without drawing any user's vector: flipped-on bits at
-    all 3^d positions, then kept bits at occupied ones (Binomial(0, p) = 0).
+    samples that law without drawing any user's vector: the atom sums of
+    the partition whose atoms are single positions.
     """
     if method != "column":
         raise DomainError(f"unknown simulation method {method!r}; the one method is 'column'")
-    g = ensure_generator(rng)
-    indices = ioh_index_population(values, g)  # checks the dimension
-    n, d = values.shape
-    flip, keep = kvoh_bit_channel(epsilon)[1]
-    true_counts = np.bincount(indices, minlength=3 ** d)
-    bit_sums = g.binomial(n - true_counts, flip)
-    held = np.flatnonzero(true_counts)
-    bit_sums[held] += g.binomial(true_counts[held], keep)
-    return IOHSample(bit_sums, n)
+    lumping = Lumping(values)  # checks the dimension
+    return IOHSample(lumping.bit_sums(epsilon, ensure_generator(rng)), len(lumping.base))
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +269,30 @@ def simulate_ioh_bit_sums(values: np.ndarray, epsilon: float, rng, method: str =
 # ---------------------------------------------------------------------------
 
 
-def _product_view(values: np.ndarray, digit_slices) -> np.ndarray:
-    """values at the Cartesian product of per-key digit slices: a strided (3,) * d view."""
-    return values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]
+@functools.lru_cache(maxsize=None)  # few keys: class maps of three digits, five digit slices
+def _class_slice(classes: tuple, start, stop, step) -> slice:
+    """The slice of a key's classes whose union is its digits [start:stop:step]."""
+    digits = range(3)[start:stop:step]
+    members = sorted({classes[digit] for digit in digits})
+    if sum(classes.count(c) for c in members) != len(digits):
+        raise DomainError(f"digits {list(digits)} split a class of the aggregate's partition {classes}")
+    return slice(members[0], members[-1] + 1, members[1] - members[0] if len(members) > 1 else 1)
+
+
+def _product_view(values: np.ndarray, digit_slices, classes) -> np.ndarray:
+    """values at the Cartesian product of per-key digit slices: a strided view of the class tensor."""
+    view = values.reshape(tuple(max(m) + 1 for m in classes))
+    return view[tuple(_class_slice(m, s.start, s.stop, s.step) for m, s in zip(classes, digit_slices))]
 
 
 def _product_values(values: np.ndarray, digit_slices) -> np.ndarray:
-    """values at the Cartesian product of per-key digit slices, in ascending index order.
+    """Full-vector values at the Cartesian product of per-key digit slices, in ascending index order.
 
     A contiguous copy of _product_view: the positions that
     frequency_index_set and mean_index_sets return.  _product_sum sums the
     view itself, without the copy, in numpy's order for the view.
     """
-    return np.ascontiguousarray(_product_view(values, digit_slices)).ravel()
+    return np.ascontiguousarray(_product_view(values, digit_slices, _class_maps(None, len(digit_slices)))).ravel()
 
 
 def _digit_slices(alpha, beta, target=None, digit=None) -> list:
@@ -234,10 +303,25 @@ def _digit_slices(alpha, beta, target=None, digit=None) -> list:
     return slices
 
 
+def query_classes(queries, d: int) -> tuple:
+    """Per key, the classes of the coarsest digit partition whose unions are the queries' digit sets.
+
+    A target reads {0}, {2} and {0,2}; a key named only in conditions {0,2}
+    or {1}; any other key {0,1,2} alone.
+    """
+    classes = [(0, 0, 0)] * d
+    for k, cond in queries:
+        cond.augmented(k)  # checks the target
+        # The three maps order as their partitions refine: (0, 0, 0) < (0, 1, 0) < (0, 1, 2).
+        classes = [max(m, (0, 1, 0)) if a else m for m, a in zip(classes, cond.alpha)]
+        classes[k] = (0, 1, 2)
+    return tuple(classes)
+
+
 def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
     if cond.d != agg.d:
         raise DomainError(f"condition length {cond.d} does not match aggregate dimension {agg.d}")
-    return float(_product_view(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit)).sum())
+    return float(_product_view(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit), agg.classes).sum())
 
 
 def frequency_index_set(gamma) -> np.ndarray:
@@ -289,10 +373,10 @@ def _degenerate(count: float) -> bool:
 def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> float:
     """Estimated frequency of key k among users matching the condition; NaN if degenerate."""
     augmented = cond.augmented(k)
-    denominator = frequency_count(agg, cond.alpha, cond.beta)
+    denominator = _product_sum(agg, cond)  # frequency_count of a condition already checked
     if _degenerate(denominator):
         return math.nan
-    numerator = frequency_count(agg, augmented.alpha, augmented.beta)
+    numerator = _product_sum(agg, augmented)
     return float(np.clip(numerator / denominator, 0.0, 1.0))
 
 
@@ -312,7 +396,9 @@ def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
 
 
 def save_aggregate(agg: AggregateVector, path, seed=None):
-    """Write an aggregate as a flat value-per-line file with a JSON header, atomically."""
+    """Write a full 3^d aggregate as a flat value-per-line file with a JSON header, atomically."""
+    if agg.classes != _class_maps(None, agg.d):
+        raise DomainError(f"only a full 3^d aggregate can be saved, not one of atoms {agg.classes}")
     header = {"d": agg.d, "epsilon": agg.epsilon, "n_users": agg.n_users, "seed": seed}
     with atomic_writer(path) as handle:
         handle.write("# " + json.dumps(header, sort_keys=True) + "\n")

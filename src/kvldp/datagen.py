@@ -330,6 +330,8 @@ def _read_header(path, text) -> dict:
         value = header[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DomainError(f"{path}: line 1: header {key!r} must be a non-negative integer, got {value!r}")
+        if value == 0:
+            raise DomainError(f"{path}: line 1: header {key!r} is 0, but a dataset needs a user and a key")
     return header
 
 

@@ -34,10 +34,10 @@ import numpy as np
 from .conditional import (
     IOH_DIMENSION_CAP,
     Condition,
-    aggregate_from_bit_sums,
+    Lumping,
     conditional_frequency,
     conditional_mean,
-    simulate_ioh_bit_sums,
+    query_classes,
 )
 from .core import DomainError, RandomSource, atomic_writer, ensure_generator
 from .datagen import Dataset, GroundTruth, true_conditionals, true_stats
@@ -367,29 +367,27 @@ class ConditionalRows(list):
         self.failures = failures
 
 
-def _calibrated_aggregate(ds: Dataset, epsilon: float, rng, method: str):
-    sample = simulate_ioh_bit_sums(ds.values, epsilon, rng, method=method)
-    return aggregate_from_bit_sums(sample.bit_sums, sample.n_users, ds.d, epsilon)
-
-
 def first_conditional_aggregate(ds: Dataset, epsilon: float, seed: int, method: str = "column"):
-    """The calibrated aggregate behind run_conditional's first rows.
+    """The full 3^d aggregate of run_conditional's cell (epsilons[0], repetition 0), from its substream.
 
-    It is the cell (epsilons[0], repetition 0) of run_conditional(ds,
-    epsilons, ..., seed, method=method), drawn from the same substream.
+    A lumped cell holds only atom sums, so this is that cell's aggregate when
+    the grid ran with full_partition=True, as kvldp conditional --agg-out runs it.
     """
+    check_method(method)
     rng = RandomSource(seed).substream(_COND_TAG, 0, 0).generator()
-    return _calibrated_aggregate(ds, float(epsilon), rng, method)
+    return Lumping(ds.values).draw(float(epsilon), rng)
 
 
 def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=None,
-                    method: str = "column", workers: int = 1) -> ConditionalRows:
+                    method: str = "column", workers: int = 1, full_partition: bool = False) -> ConditionalRows:
     """Compare the private conditional pipeline against the exact oracle.
 
     Per (epsilon, repetition): encode the full population with the
     full-record one-hot mechanism, calibrate, and answer every query;
     rows carry both the private estimates and the oracle values.  A cell
-    that raises leaves no rows and is recorded in the result's failures.
+    draws the atom sums of query_classes' partition, with the rows' exact
+    joint law; full_partition draws all 3^d positions.  A cell that raises
+    leaves no rows and is recorded in the result's failures.
     """
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
@@ -397,9 +395,10 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     check_method(method)
     queries = queries if queries is not None else default_conditional_queries(ds.d)
     oracle = true_conditionals(ds, queries)
+    lumping = Lumping(ds.values, None if full_partition else query_classes(queries, ds.d))
 
     def work(rng, epsilon, rep):
-        agg = _calibrated_aggregate(ds, epsilon, rng, method)
+        agg = lumping.draw(epsilon, rng)
         cell_rows = []
         for (k, cond), (true_freq, true_mean) in zip(queries, oracle):
             est_freq = conditional_frequency(agg, k, cond)

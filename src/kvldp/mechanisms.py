@@ -398,7 +398,7 @@ def kvoh_decode_array(bit_sums: np.ndarray, n_reports: np.ndarray, epsilon: floa
     """
     bit_sums = np.asarray(bit_sums, dtype=np.float64)
     n_reports = np.asarray(n_reports, dtype=np.float64)
-    if bit_sums.min(initial=0.0) < 0 or np.any(bit_sums.max(axis=-1) > n_reports):
+    if bit_sums.min(initial=0.0) < 0 or np.any(bit_sums > n_reports[..., None]):
         raise DomainError("bit sums must lie in [0, n_reports]")
     denom = math.expm1(float(epsilon) / 2.0)
     _require_conditioned(denom, "e^{eps/2} - 1")

@@ -48,6 +48,19 @@ def test_records_io_unit_passes_its_gates(bench, tmp_path, monkeypatch):
     assert out["harness.trace_s"] > 0
 
 
+def test_conditional_sweep_unit_passes_its_gates(bench, monkeypatch):
+    # The workload's n, so its row-count and d=4, eps=4 tolerance gates hold as in a benchmark run.
+    monkeypatch.setattr(bench.workloads, "COND_DIMS", (4, 8))
+    tracer = bench.spans.Tracer(True)
+    sweep = bench.workloads.ConditionalSweep(SEED, "")
+    sweep.setup(tracer)
+    totals = bench.workloads.Totals()
+    sweep.unit(0, tracer, totals)
+    assert totals.gates == []
+    assert totals.failed == 0
+    assert totals.attempted == 2 * len(bench.workloads.COND_EPSILONS) * bench.workloads.COND_REPS
+
+
 def test_mechanism_layers_recompose_run_single(bench):
     ds = gen_synthetic("gaussian", d=20, n=5000, seed=SEED)
     protocol = types.SimpleNamespace(ds=ds, truth=true_stats(ds))

@@ -455,6 +455,20 @@ def test_conditional_checks_target_and_condition_before_any_work(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ['{"n": 0, "d": 3}', '{"n": 5, "d": 0}'])
+@pytest.mark.parametrize("command", [["run"], ["conditional", "--dims", "3"]])
+def test_a_dataset_file_without_users_or_keys_is_a_domain_error(tmp_path, capsys, monkeypatch, header, command):
+    # n = 0 used to write rows of NaN truth and exit 0; d = 0 failed every run cell before exit 3.
+    for name in ("run_sweep", "run_conditional"):
+        monkeypatch.setattr(cli, name, _no_work)
+    dataset = tmp_path / "ds.csv"
+    dataset.write_text(f"# kvldp-dataset {header}\n")
+    out = tmp_path / "out.csv"
+    assert main(command + ["--dataset", str(dataset), "--reps", "1", "--out", str(out)]) == 3
+    assert "is 0, but a dataset needs a user and a key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conditional_checks_a_dataset_file_against_every_dimension_before_any_grid(tmp_path, capsys, monkeypatch):
     # --dims 5,3 on a 5-key file used to run the d=5 grid before it rejected 3.
     dataset = tmp_path / "ds.csv"

@@ -371,3 +371,7 @@ def test_aggregate_persistence_round_trip(tmp_path):
     assert loaded.d == agg.d and loaded.n_users == agg.n_users
     assert loaded.epsilon == agg.epsilon
     assert (loaded.values == agg.values).all()
+    lumped = AggregateVector(np.zeros(6), 100, 2, 1.0, ((0, 1, 2), (0, 1, 0)))
+    with pytest.raises(DomainError, match="only a full 3\\^d aggregate"):
+        save_aggregate(lumped, tmp_path / "lumped.txt")
+    assert not (tmp_path / "lumped.txt").exists()

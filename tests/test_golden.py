@@ -33,7 +33,7 @@ PACK_DIMS = (20, 37, 65)
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "aggregate.txt": "db37c281f2fffb22a109d53aae6b4e947a773fe34379014df0ea63373313a8e9",
-    "conditional.csv": "8ce475b6456c62e0e0336bfec099c1bbbbbd5bc6d4eeebf19dc011c8b405ff0d",
+    "conditional.csv": "bf7456cdded2075075215c25d1c7963f754a61d3d920ac96f083cf2bd5d0abd3",
     "gaussian.csv": "2aa8802dabef4bec10cd71a3007aa3e56992f939616623a726f3e5489e1c3d3b",
     "packed/f2m.d20": "8dd336c40af2792073381955dc35f6230e8beb5de9bf9192fef6e3b76084871a",
     "packed/f2m.d37": "b9adf69ed959f76416618099eabb517f9fe2a66bce35dbb1929efbbe8eb0192c",

@@ -16,7 +16,10 @@ full-record sampler that simulate_ioh_bit_sums' column law replaced is
 kept as _ref_peruser_bit_sums, the reference of the same test on
 (position, bit sum) counts.  So is _ref_column_bit_sums, the column law
 as it was drawn before its kept bits were drawn only at occupied
-positions.
+positions.  The lumped conditional draw is checked against the full
+vector twice: bit for bit on the partition whose atoms are single
+positions, and in law on coarser partitions, by a chi-square test on the
+binned answers to the queries that partition serves.
 
 The tie tests build values whose discretization threshold (1 + v) / 2, or a
 budget whose inverse-CDF threshold, equals the uniform drawn for it
@@ -38,13 +41,18 @@ import pytest
 from kvldp.conditional import (
     AggregateVector,
     Condition,
+    Lumping,
+    _atom_sizes,
     _product_sum,
     _product_values,
     aggregate_from_bit_sums,
+    conditional_frequency,
+    conditional_mean,
     frequency_count,
     frequency_index_set,
     ioh_index_population,
     mean_index_sets,
+    query_classes,
     simulate_ioh_bit_sums,
 )
 from kvldp.core import (
@@ -869,3 +877,146 @@ def test_blocked_presence_matches_the_one_shot_draw(d):
         g, ref = _generators(120 + n)
         got = _materialize(freq, mean, n, g, 0.1)
         _assert_identical(got, _ref_materialize(freq, mean, n, ref, 0.1), g, ref)
+
+
+# ---------------------------------------------------------------------------
+# Lumped conditional draw
+# ---------------------------------------------------------------------------
+
+
+def _ref_full_aggregate(values, epsilon, g):
+    """Bit sums and calibrated full vector as drawn before the lumped draw: one (n, d) index draw,
+    flipped-on bits at every position, kept bits where the position is occupied."""
+    n, d = values.shape
+    flip, keep = kvoh_bit_channel(epsilon)[1]
+    counts = np.bincount(_ref_ioh_index(values, g), minlength=3 ** d)
+    bit_sums = g.binomial(n - counts, flip)
+    held = np.flatnonzero(counts)
+    bit_sums[held] += g.binomial(counts[held], keep)
+    return bit_sums, kvoh_decode_array(bit_sums, n, epsilon)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (500, 3), (3000, 6), (2000, 12)])
+def test_full_partition_reproduces_the_full_vector_draw(shape):
+    values = _matrix(*shape, 130 + shape[1])
+    g, ref = _generators(131)
+    bit_sums, full = _ref_full_aggregate(values, 1.0, ref)
+    agg = Lumping(values).draw(1.0, g)
+    _assert_identical(agg.values, full, g, ref)
+    assert agg.classes == ((0, 1, 2),) * shape[1]
+    g, ref = _generators(132)
+    bit_sums, full = _ref_full_aggregate(values, 1.0, ref)
+    sample = simulate_ioh_bit_sums(values, 1.0, g)
+    _assert_identical(sample.bit_sums, bit_sums, g, ref)
+    assert aggregate_from_bit_sums(sample.bit_sums, sample.n_users, shape[1], 1.0).values.tobytes() == full.tobytes()
+
+
+def _workload_queries(d):
+    """Target k1 conditioned on kj=1 and on kj=0 for every j != 1."""
+    return [(0, Condition.parse(f"k{j}={bit}", d)) for j in range(2, d + 1) for bit in (1, 0)]
+
+
+def test_query_partition_keeps_what_the_queries_read():
+    # Key 1 is the workload's mean target; every other key is named only in conditions.
+    classes = query_classes(_workload_queries(12), 12)
+    assert classes == ((0, 1, 2),) + ((0, 1, 0),) * 11
+    assert len(_atom_sizes(classes)) == 3 * 2 ** 11 and _atom_sizes(classes).sum() == 3 ** 12
+    # A mean target, conditions on two keys, and a key no query names, which collapses to one class.
+    classes = query_classes([(1, Condition.parse("k1=1,k3=0", 4))], 4)
+    assert classes == ((0, 1, 0), (0, 1, 2), (0, 1, 0), (0, 0, 0))
+    assert len(_atom_sizes(classes)) == 2 * 3 * 2 and _atom_sizes(classes).sum() == 3 ** 4
+    assert _atom_sizes(((0, 1, 2),) * 5) == 1
+
+
+def _lump_vector(values, d, classes):
+    """Sum a full 3^d vector over the atoms of a partition."""
+    lumped = values.reshape((3,) * d)
+    for key, m in enumerate(classes):
+        lumped = np.stack([lumped.take([t for t in range(3) if m[t] == c], axis=key).sum(axis=key)
+                           for c in range(max(m) + 1)], axis=key)
+    return lumped.ravel()
+
+
+@pytest.mark.parametrize("d, queries", [
+    (1, [(0, "")]),
+    (3, [(0, "k2=1"), (2, "k1=0")]),
+    (5, [(1, "k1=1,k3=0"), (1, "k3=1")]),
+])
+def test_lumped_index_and_sums_are_the_full_ones_mapped_through_the_classes(d, queries):
+    queries = [(k, Condition.parse(text, d)) for k, text in queries]
+    classes = query_classes(queries, d)
+    strides = [math.prod(max(m) + 1 for m in classes[key + 1:]) for key in range(d)]
+    rng = np.random.default_rng(140 + d)
+    # On +-1 values every sign is certain, so the lumped index is the full one mapped per digit.
+    values = np.where(rng.random((400, d)) < 0.6, rng.choice([-1.0, 1.0], (400, d)), np.nan)
+    digits = np.unravel_index(ioh_index_population(values, rng), (3,) * d)
+    mapped = sum(np.take(classes[key], digits[key]) * strides[key] for key in range(d))
+    assert (Lumping(values, classes).index(rng) == mapped).all()
+    # Query sums over the lumped vector equal those over the full one.
+    full = AggregateVector(rng.normal(size=3 ** d) * 100.0 + 50.0, 1000, d, 1.0)
+    lumped = AggregateVector(_lump_vector(full.values, d, classes), 1000, d, 1.0, classes)
+    for k, cond in queries:
+        for operator_ in (conditional_frequency, conditional_mean):
+            assert operator_(lumped, k, cond) == pytest.approx(operator_(full, k, cond), rel=1e-9, nan_ok=True)
+    if d == 5:  # k5 is in no query, so it has one class
+        with pytest.raises(DomainError, match="split a class"):
+            conditional_frequency(lumped, 1, Condition.parse("k5=1", d))
+
+
+def _binned(answers, quantiles):
+    """Bin codes of (repetitions, side) answers: pooled quantile bins of the defined answers, then NaN."""
+    defined = answers[~np.isnan(answers)]
+    edges = np.unique(np.quantile(defined, quantiles)) if len(defined) else np.empty(0)
+    return np.where(np.isnan(answers), len(edges) + 1, np.searchsorted(edges, np.nan_to_num(answers))), len(edges) + 2
+
+
+def _answer_homogeneity(queries, d, lumped_epsilon, full_epsilon, seed, repetitions=400, shared=True):
+    """(statistic, dof) of the lumped draw's answers against the full vector's, per binned answer
+    and per pair of binned frequencies (the joint law of two rows).  shared=False answers each
+    query of the lumped side from its own draw."""
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random((200, d)) < 0.7, rng.uniform(-1.0, 1.0, (200, d)), np.nan)
+    lumped = Lumping(values, query_classes(queries, d))
+    full = Lumping(values)
+    g_lumped, g_full = RandomSource(seed, 1).generator(), RandomSource(seed, 2).generator()
+
+    def answers(lumping, epsilon, g, shared=True):
+        agg = lumping.draw(epsilon, g)
+        rows = []
+        for k, cond in queries:
+            agg = agg if shared else lumping.draw(epsilon, g)
+            rows += [conditional_frequency(agg, k, cond), conditional_mean(agg, k, cond)]
+        return rows
+
+    table = np.array([[answers(lumped, lumped_epsilon, g_lumped, shared), answers(full, full_epsilon, g_full)]
+                      for _ in range(repetitions)])  # (repetitions, side, answer)
+    results = []
+    for column in np.moveaxis(table, 2, 0):
+        bins, size = _binned(column, np.linspace(0.1, 0.9, 9))
+        results.append(_pearson(np.stack([np.bincount(bins[:, side], minlength=size) for side in (0, 1)])))
+    for a, b in itertools.combinations(range(0, table.shape[2], 2), 2):
+        (bins_a, size_a), (bins_b, size_b) = (_binned(table[:, :, j], [0.5]) for j in (a, b))
+        joint = bins_a * size_b + bins_b
+        results.append(_pearson(np.stack([np.bincount(joint[:, side], minlength=size_a * size_b) for side in (0, 1)])))
+    return [(statistic, dof) for statistic, dof in results if dof]
+
+
+LUMPED_QUERY_SETS = {"workload": (_workload_queries(4), 4),
+                     "split keys": ([(1, Condition.parse("k1=1,k3=0", 4)), (1, Condition.parse("k1=0", 4))], 4)}
+
+
+@pytest.mark.parametrize("name", list(LUMPED_QUERY_SETS))
+def test_lumped_answers_match_the_full_vector_in_law(name):
+    queries, d = LUMPED_QUERY_SETS[name]
+    for statistic, dof in _answer_homogeneity(queries, d, 3.0, 3.0, 150 + d):
+        assert statistic < _chi_square_critical(dof), (name, statistic, dof)
+
+
+@pytest.mark.parametrize("budget, shared, repetitions", [(1.5, True, 300), (3.0, False, 300)],
+                         ids=["another budget", "a draw per query"])
+def test_answer_homogeneity_rejects_the_lumped_draw_at_another_budget_or_per_query(budget, shared, repetitions):
+    # One draw per query keeps every answer's marginal law, so only the joint tests can see it.
+    queries, d = LUMPED_QUERY_SETS["workload"]
+    assert any(statistic > _chi_square_critical(dof)
+               for statistic, dof in _answer_homogeneity(queries, d, 3.0, budget, 160, repetitions, shared))
+
