@@ -32,11 +32,9 @@ from .harness import (
     _format_cell,
     check_format,
     check_mechanisms,
-    check_method,
     default_value_study,
     default_value_spread_ratio,
     emit,
-    first_conditional_aggregate,
     rows_to_dicts,
     run_conditional,
     run_sweep,
@@ -115,8 +113,7 @@ OPTIONS = {
             "vbar": (float, _DEFAULTS.default_value), **_COMMON},
     "conditional": {"dims": (_dims, (2, 4, 8)), "epsilon": (_numbers(float), (4.0,)),
                     "reps": (int, 20), "n": _SIZE["n"], "dataset": (str, None),
-                    "target": (parse_key_name, None), "cond": (str, None), "method": (check_method, "column"),
-                    **_COMMON},
+                    "target": (parse_key_name, None), "cond": (str, None), **_COMMON},
     "default-study": {**_DATASET, "vbar": (_numbers(float), DEFAULT_VBAR_GRID),
                       "epsilon": (_numbers(float), (0.5, 1.0)), "reps": (int, _DEFAULTS.repetitions),
                       **_COMMON},
@@ -278,22 +275,18 @@ def _cmd_conditional(opts, args) -> int:
         if opts.target is not None:
             queries = [(opts.target, Condition.parse(opts.cond or "", ds.d))]
         # --agg-out saves the first grid's cell 0 whole, so that grid draws all 3^d positions.
-        rows = run_conditional(ds, opts.epsilon, opts.reps, opts.seed, queries=queries, method=opts.method,
+        rows = run_conditional(ds, opts.epsilon, opts.reps, opts.seed, queries=queries,
                                workers=opts.workers, full_partition=bool(args.agg_out) and di == 0)
         all_rows.extend(rows)
         _print_failures({"d": ds.d, **failure} for failure in rows.failures)
         if args.agg_out and di == 0:
-            # The aggregate is that of cell (epsilons[0], repetition 0); when
-            # that cell failed, redrawing it would fail the same way.
-            epsilon = opts.epsilon[0]
-            if any(f["epsilon"] == epsilon and f["repetition"] == 0 for f in rows.failures):
-                print(f"agg-out skipped: cell d={ds.d} epsilon={epsilon!r} repetition=0 failed, "
+            aggregate = rows.aggregate
+            if aggregate is None:
+                print(f"agg-out skipped: cell d={ds.d} epsilon={opts.epsilon[0]!r} repetition=0 failed, "
                       f"{args.agg_out} not written", file=sys.stderr)
-            else:
-                aggregate = first_conditional_aggregate(ds, epsilon, opts.seed, opts.method)
     emit(all_rows, opts.format, opts.out,
          config={"dims": list(opts.dims), "epsilons": list(opts.epsilon), "repetitions": opts.reps,
-                 "seed": opts.seed, "n": ds.n, "method": opts.method})
+                 "seed": opts.seed, "n": ds.n, "method": "column"})
     print(f"wrote {len(all_rows)} rows to {opts.out}")
     if aggregate is not None:  # after --out, so that a bad --agg-out path keeps the table
         save_aggregate(aggregate, args.agg_out, seed=opts.seed)

@@ -66,10 +66,9 @@ def _check_grid(epsilons, repetitions, workers) -> tuple:
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons!r}") from exc
     if not epsilons or any(not (math.isfinite(e) and e > 0) for e in epsilons):
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons}")
-    if not isinstance(repetitions, (int, np.integer)) or repetitions < 1:
-        raise ConfigError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
+    for name, count in (("repetitions", repetitions), ("workers", workers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
     return epsilons
 
 
@@ -86,13 +85,6 @@ def check_format(fmt) -> str:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}; choose csv or json")
     return fmt
-
-
-def check_method(method) -> str:
-    """method itself; ConfigError unless it is a simulation method ('column' is the one method)."""
-    if method != "column":
-        raise ConfigError(f"unknown simulation method {method!r}; choose column")
-    return method
 
 
 @dataclass(frozen=True)
@@ -209,10 +201,11 @@ def run_single(ds: Dataset, mechanism: str, epsilon: float, rng, repetition: int
 
 
 def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
-    """Run work(rng, *labels) on every cell of a grid; returns (results, failures).
+    """Run work(rng, cell, *labels) on every cell of a grid; returns (results, failures).
 
     axes maps each axis name to its labels, outermost axis first, and the
-    cells run in row-major order.  A cell draws from the substream
+    cells run in row-major order; cell is the tuple of a cell's indices
+    along the axes.  A cell draws from the substream
     (tag, *cell indices) of the master seed, never from a shared stream,
     so results do not depend on the number of workers.  results holds what
     the cells that completed returned, in grid order; failures holds one
@@ -224,7 +217,7 @@ def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     def attempt(cell):
         labels = [axis[i] for axis, i in zip(axes.values(), cell)]
         try:
-            return labels, work(root.substream(tag, *cell).generator(), *labels)
+            return labels, work(root.substream(tag, *cell).generator(), cell, *labels)
         except Exception as exc:  # recorded per cell, the grid continues
             return labels, exc
 
@@ -246,7 +239,7 @@ def run_sweep(config: ExperimentConfig, ds: Dataset, per_key: bool = False) -> S
     """
     truth = true_stats(ds)
 
-    def work(rng, mechanism, epsilon, rep):
+    def work(rng, _cell, mechanism, epsilon, rep):
         return run_single(ds, mechanism, epsilon, rng, repetition=rep,
                           default_value=config.default_value, truth=truth)
 
@@ -360,22 +353,16 @@ def default_conditional_queries(d: int) -> list:
 
 
 class ConditionalRows(list):
-    """run_conditional's row dicts in grid order; .failures lists the cells that raised."""
+    """run_conditional's row dicts in grid order.
 
-    def __init__(self, rows, failures):
+    .failures lists the cells that raised; .aggregate is the aggregate of
+    cell (epsilons[0], repetition 0), or None when that cell failed.
+    """
+
+    def __init__(self, rows, failures, aggregate):
         super().__init__(rows)
         self.failures = failures
-
-
-def first_conditional_aggregate(ds: Dataset, epsilon: float, seed: int, method: str = "column"):
-    """The full 3^d aggregate of run_conditional's cell (epsilons[0], repetition 0), from its substream.
-
-    A lumped cell holds only atom sums, so this is that cell's aggregate when
-    the grid ran with full_partition=True, as kvldp conditional --agg-out runs it.
-    """
-    check_method(method)
-    rng = RandomSource(seed).substream(_COND_TAG, 0, 0).generator()
-    return Lumping(ds.values).draw(float(epsilon), rng)
+        self.aggregate = aggregate
 
 
 def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=None,
@@ -386,18 +373,24 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     full-record one-hot mechanism, calibrate, and answer every query;
     rows carry both the private estimates and the oracle values.  A cell
     draws the atom sums of query_classes' partition, with the rows' exact
-    joint law; full_partition draws all 3^d positions.  A cell that raises
-    leaves no rows and is recorded in the result's failures.
+    joint law; full_partition draws all 3^d positions, so that cell 0's
+    aggregate is the full vector save_aggregate writes.  A cell that raises
+    leaves no rows and is recorded in the result's failures.  method is
+    kept for callers that pass it: "column" is the one simulation method.
     """
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
     epsilons = _check_grid(epsilons, repetitions, workers)
-    check_method(method)
+    if method != "column":
+        raise ConfigError(f"unknown simulation method {method!r}; choose column")
     queries = queries if queries is not None else default_conditional_queries(ds.d)
+    if not queries:
+        raise ConfigError("at least one conditional query is required")
     oracle = true_conditionals(ds, queries)
     lumping = Lumping(ds.values, None if full_partition else query_classes(queries, ds.d))
+    first = []  # cell (0, 0)'s aggregate, once that cell has answered every query
 
-    def work(rng, epsilon, rep):
+    def work(rng, cell, epsilon, rep):
         agg = lumping.draw(epsilon, rng)
         cell_rows = []
         for (k, cond), (true_freq, true_mean) in zip(queries, oracle):
@@ -409,11 +402,13 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
                 "freq_est": est_freq, "freq_true": true_freq, "freq_ae": abs(est_freq - true_freq),
                 "mean_est": est_mean, "mean_true": true_mean, "mean_ae": abs(est_mean - true_mean),
             })
+        if cell == (0, 0):
+            first.append(agg)
         return cell_rows
 
     axes = {"epsilon": epsilons, "repetition": range(repetitions)}
     cells, failures = _run_grid(_COND_TAG, seed, axes, work, workers)
-    return ConditionalRows([row for cell_rows in cells for row in cell_rows], failures)
+    return ConditionalRows([row for cell_rows in cells for row in cell_rows], failures, first[0] if first else None)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +437,7 @@ def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0
         raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
     truth = true_stats(ds)
 
-    def work(rng, epsilon, vbar, rep):
+    def work(rng, _cell, epsilon, vbar, rep):
         row = run_single(ds, "f2m", epsilon, rng, repetition=rep, default_value=vbar, truth=truth).row.as_dict()
         row["vbar"] = vbar
         return row

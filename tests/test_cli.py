@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kvldp import cli
 from kvldp.cli import main
-from kvldp.conditional import Condition, conditional_frequency, conditional_mean, load_aggregate
+from kvldp.conditional import Condition, Lumping, conditional_frequency, conditional_mean, load_aggregate
 from kvldp.datagen import load_dataset
 from kvldp.harness import ConfigError, ExperimentConfig, parse_table
 
@@ -239,21 +239,40 @@ def test_unknown_format_is_rejected_before_the_grid_runs(tmp_path, capsys, monke
 
 
 def test_conditional_rejects_peruser_before_any_dataset_is_built(tmp_path, capsys, monkeypatch):
+    # The conditional command has no --method flag and no method config key.
     def fail(*args, **kwargs):
-        raise AssertionError("a dataset was built before the method was checked")
+        raise AssertionError("a dataset was built for a removed option")
 
     monkeypatch.setattr(cli, "gen_regime", fail)
     monkeypatch.setattr(cli, "_dataset_from_spec", fail)
-    config = tmp_path / "cond.cfg"
-    config.write_text("method = peruser\n")
     out = tmp_path / "cond.csv"
     base = ["conditional", "--dims", "2", "--n", "100", "--out", str(out)]
     for flags in (["--method", "peruser"], ["--dataset", "gaussian", "--method", "peruser"],
-                  ["--config", str(config)]):
-        assert main(base + flags) == 2, flags
-        err = capsys.readouterr().err
-        assert "error[config]" in err and "unknown simulation method 'peruser'" in err
+                  ["--method", "column"]):
+        with pytest.raises(SystemExit) as exc:  # an argparse usage error
+            main(base + flags)
+        assert exc.value.code == 2, flags
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+    config = tmp_path / "cond.cfg"
+    config.write_text("method = peruser\n")
+    assert main(base + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "unknown key 'method'" in err
     assert not out.exists()
+
+
+def test_conditional_agg_out_draws_each_cell_once(tmp_path, monkeypatch):
+    draws = []
+    draw = Lumping.draw
+
+    def spy(self, epsilon, rng):
+        draws.append(self.values.shape[1])
+        return draw(self, epsilon, rng)
+
+    monkeypatch.setattr(Lumping, "draw", spy)
+    assert main(["conditional", "--dims", "3,2", "--epsilon", "2,4", "--reps", "2", "--n", "300",
+                 "--out", str(tmp_path / "cond.csv"), "--agg-out", str(tmp_path / "agg.txt")]) == 0
+    assert draws == [3] * 4 + [2] * 4  # --agg-out saves the first grid's cell 0 without drawing it again
 
 
 def test_bounds_at_a_vanishing_epsilon_is_a_domain_error(capsys):
@@ -324,7 +343,7 @@ _LONG_FLAGS = {
     "run": {"--dataset", "--mechanisms", "--epsilon", "--reps", "--seed", "--vbar", "--workers", "--d",
             "--n", "--out", "--format", "--config", "--per-key", "--timing", "--trace"},
     "conditional": {"--dims", "--epsilon", "--reps", "--seed", "--n", "--dataset", "--target", "--cond",
-                    "--method", "--workers", "--out", "--format", "--config", "--agg-out"},
+                    "--workers", "--out", "--format", "--config", "--agg-out"},
     "default-study": {"--dataset", "--vbar", "--epsilon", "--reps", "--seed", "--workers", "--d", "--n",
                       "--out", "--format", "--config"},
     "bounds": {"--mechanisms", "--epsilon", "--n", "--delta", "--f", "--out", "--format"},
@@ -561,7 +580,7 @@ _FUZZ_VALUES = {
     "dims": (["2", "1", "3,2", "8,2"], ["13", "0", ",", "x"]),
     "target": (["k1", "k2"], ["k6", "k0", "k01", "", "x"]),
     "cond": (["k2=1", "k1=0", ""], ["k5=1", "k2=1,k2=0", "k2=2", "x"]),
-    "method": (["column"], ["peruser", ""]), "mechanisms": (["kvue", "f2m,kvoh", "privkv"], [",", "x"]),
+    "mechanisms": (["kvue", "f2m,kvoh", "privkv"], [",", "x"]),
     "format": (["csv", "json"], ["x"]), "dist": (["gaussian", "uniform", "regime"], ["x"]),
     "freq-regime": (["high", "extreme_low"], ["x"]), "mean-regime": (["low"], ["x"]),
     "top-k": (["1", "3"], ["0", "-1", "x"]), "scale": (["1,5"], ["5,1", "1", "nan,5", "x"]),

@@ -9,7 +9,7 @@ import pytest
 import jsonschema
 
 from kvldp import harness
-from kvldp.conditional import Condition
+from kvldp.conditional import Condition, Lumping, query_classes
 from kvldp.core import RandomSource
 from kvldp.datagen import Dataset, gen_regime, gen_synthetic, true_stats
 from kvldp.harness import (
@@ -138,6 +138,34 @@ def test_run_conditional_records_partial_failures():
     assert [(r["epsilon"], r["repetition"]) for r in rows] == [(1.0, 0), (1.0, 1)]
     assert [(f["epsilon"], f["repetition"]) for f in rows.failures] == [(1e-20, 0), (1e-20, 1)]
     assert all(f["error"].startswith("IllConditionedError: ") for f in rows.failures)
+    assert rows.aggregate is None  # cell (epsilons[0], repetition 0) failed
+
+
+def _cell_draw(ds, epsilon, seed, cell, classes=None):
+    """The aggregate a run_conditional cell draws, from that cell's own substream."""
+    return Lumping(ds.values, classes).draw(epsilon, RandomSource(seed).substream(2, *cell).generator())
+
+
+def _same_aggregate(a, b) -> bool:
+    return (a.n_users, a.d, a.epsilon, a.classes) == (b.n_users, b.d, b.epsilon, b.classes) \
+        and a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("full_partition", [True, False])
+def test_run_conditional_hands_back_the_first_cells_aggregate(full_partition):
+    ds = _small_dataset(n=1000, d=4)
+    rows = run_conditional(ds, (2.0, 4.0), 2, seed=8, full_partition=full_partition)
+    classes = None if full_partition else query_classes(harness.default_conditional_queries(4), 4)
+    assert _same_aggregate(rows.aggregate, _cell_draw(ds, 2.0, 8, (0, 0), classes))
+
+
+def test_run_conditional_finds_the_first_cell_by_position_not_by_epsilon():
+    # With a repeated epsilon, cells (0, 0) and (1, 0) share their labels, and
+    # two workers may finish them in either order.
+    ds = _small_dataset(n=1000, d=4)
+    rows = run_conditional(ds, (1.0, 1.0), 2, seed=8, workers=2, full_partition=True)
+    assert _same_aggregate(rows.aggregate, _cell_draw(ds, 1.0, 8, (0, 0)))
+    assert not _same_aggregate(rows.aggregate, _cell_draw(ds, 1.0, 8, (1, 0)))
 
 
 def test_default_value_study_records_partial_failures():
@@ -298,7 +326,7 @@ def test_run_conditional_validation():
         for epsilons in ([], [-1.0], [0.0], [math.nan], [math.inf], [1.0, -1.0], ["one"]):
             with pytest.raises(ConfigError, match="epsilons"):
                 experiment(epsilons, 1, 1)
-        for repetitions in (0, -2, 1.5):
+        for repetitions in (0, -2, 1.5, True):
             with pytest.raises(ConfigError, match="repetitions"):
                 experiment([1.0], repetitions, 1)
     with pytest.raises(ConfigError, match="simulation method"):
@@ -320,7 +348,18 @@ def test_run_conditional_rejects_peruser_before_any_cell_runs(monkeypatch):
         run_conditional(Dataset(np.ones((10, 2))), epsilons=[1.0], repetitions=1, seed=0, method="peruser")
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+def test_run_conditional_rejects_no_queries_before_any_cell_runs(monkeypatch):
+    # Without a query every cell would be drawn for no rows.
+    def fail(*args, **kwargs):
+        raise AssertionError("the oracle or the grid ran without a query")
+
+    monkeypatch.setattr(harness, "_run_grid", fail)
+    monkeypatch.setattr(harness, "true_conditionals", fail)
+    with pytest.raises(ConfigError, match="at least one conditional query"):
+        run_conditional(Dataset(np.ones((10, 2))), [1.0], 1, 0, queries=[])
+
+
+@pytest.mark.parametrize("workers", [0, -1, True])
 def test_experiments_reject_non_positive_workers(workers):
     ds = Dataset(np.ones((10, 2)))
     for experiment in _experiments(ds):
