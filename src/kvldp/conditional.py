@@ -178,7 +178,12 @@ def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon:
     operators stay linear and marginally consistent.
     """
     classes = _class_maps(classes, int(d))
-    values = kvoh_decode_array(np.asarray(bit_sums)[:, None], int(n_users) * _atom_sizes(classes), epsilon)[:, 0]
+    return _calibrated(bit_sums, int(n_users) * _atom_sizes(classes), n_users, d, epsilon, classes)
+
+
+def _calibrated(bit_sums, bits, n_users, d, epsilon, classes) -> AggregateVector:
+    """kvoh's calibration of atom sums, atom A summing bits[A] bits (a scalar: every atom alike)."""
+    values = kvoh_decode_array(np.asarray(bit_sums)[:, None], bits, epsilon)[:, 0]
     return AggregateVector(values, int(n_users), int(d), float(epsilon), classes)
 
 
@@ -196,6 +201,7 @@ class Lumping:
     """A population whose atom sums are drawn under per-key digit classes (default: 3^d positions).
 
     base is each user's atom index with every held key at digit 0; steps[k] moves key k to digit 2.
+    Every draw reads what __init__ builds once: split (the keys with a nonzero step), atoms and bits (n|A|).
     """
 
     def __init__(self, values: np.ndarray, classes=None):
@@ -205,6 +211,8 @@ class Lumping:
         strides = np.cumprod([1] + [max(m) + 1 for m in self.classes[:0:-1]], dtype=np.int64)[::-1]
         first, absent, second = (np.array([m[digit] for m in self.classes]) * strides for digit in range(3))
         self.base, self.steps = np.empty(n, dtype=np.int64), second - first
+        self.split = np.flatnonzero(self.steps)
+        self.atoms, self.bits = math.prod(max(m) + 1 for m in self.classes), n * _atom_sizes(self.classes)
         for rows in row_blocks(n, d):
             block = self.values[rows]
             if np.fmin.reduce(block, None, initial=0.0) < -1.0 or np.fmax.reduce(block, None, initial=0.0) > 1.0:
@@ -216,27 +224,26 @@ class Lumping:
 
         One u per key with a nonzero step, row-major, in row blocks that draw as one (n, keys) draw does.
         """
-        split = np.flatnonzero(self.steps)
         index = self.base.copy()
-        for rows in row_blocks(len(index), len(split)):
-            u = g.random((len(index[rows]), len(split)))
-            for j, key in enumerate(split):
+        for rows in row_blocks(len(index), len(self.split)):
+            u = g.random((len(index[rows]), len(self.split)))
+            for j, key in enumerate(self.split):
                 index[rows] += (u[:, j] < (1.0 + self.values[rows, key]) / 2.0) * self.steps[key]
         return index
 
     def bit_sums(self, epsilon: float, g: np.random.Generator) -> np.ndarray:
         """Per atom A: Binomial(n|A| - c_A, flip) at every atom, plus Binomial(c_A, keep) where c_A > 0."""
         flip, keep = kvoh_bit_channel(epsilon)[1]
-        counts = np.bincount(self.index(g), minlength=math.prod(max(m) + 1 for m in self.classes))
-        bit_sums = g.binomial(len(self.base) * _atom_sizes(self.classes) - counts, flip)
+        counts = np.bincount(self.index(g), minlength=self.atoms)
+        bit_sums = g.binomial(self.bits - counts, flip)
         held = np.flatnonzero(counts)
         bit_sums[held] += g.binomial(counts[held], keep)
         return bit_sums
 
     def draw(self, epsilon: float, rng) -> AggregateVector:
         """One private collection of the population, calibrated per atom (see the module docstring)."""
-        n, d = self.values.shape
-        return aggregate_from_bit_sums(self.bit_sums(epsilon, ensure_generator(rng)), n, d, epsilon, self.classes)
+        bit_sums = self.bit_sums(epsilon, ensure_generator(rng))
+        return _calibrated(bit_sums, self.bits, *self.values.shape, epsilon, self.classes)
 
 
 def ioh_index_population(values: np.ndarray, rng) -> np.ndarray:
@@ -279,20 +286,13 @@ def _class_slice(classes: tuple, start, stop, step) -> slice:
     return slice(members[0], members[-1] + 1, members[1] - members[0] if len(members) > 1 else 1)
 
 
-def _product_view(values: np.ndarray, digit_slices, classes) -> np.ndarray:
-    """values at the Cartesian product of per-key digit slices: a strided view of the class tensor."""
-    view = values.reshape(tuple(max(m) + 1 for m in classes))
-    return view[tuple(_class_slice(m, s.start, s.stop, s.step) for m, s in zip(classes, digit_slices))]
-
-
 def _product_values(values: np.ndarray, digit_slices) -> np.ndarray:
     """Full-vector values at the Cartesian product of per-key digit slices, in ascending index order.
 
-    A contiguous copy of _product_view: the positions that
-    frequency_index_set and mean_index_sets return.  _product_sum sums the
-    view itself, without the copy, in numpy's order for the view.
+    The positions frequency_index_set and mean_index_sets return; a query
+    sums the strided view (_class_index) without this contiguous copy.
     """
-    return np.ascontiguousarray(_product_view(values, digit_slices, _class_maps(None, len(digit_slices)))).ravel()
+    return np.ascontiguousarray(values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]).ravel()
 
 
 def _digit_slices(alpha, beta, target=None, digit=None) -> list:
@@ -301,6 +301,14 @@ def _digit_slices(alpha, beta, target=None, digit=None) -> list:
     if target is not None:
         slices[target] = slice(digit, digit + 1)
     return slices
+
+
+def _class_index(classes, cond: Condition, target=None, digit=None) -> tuple:
+    """The index of the class tensor whose view holds the atoms of cond's digits, target pinned to digit."""
+    if cond.d != len(classes):
+        raise DomainError(f"condition length {cond.d} does not match aggregate dimension {len(classes)}")
+    slices = _digit_slices(cond.alpha, cond.beta, target, digit)
+    return tuple(_class_slice(m, s.start, s.stop, s.step) for m, s in zip(classes, slices))
 
 
 def query_classes(queries, d: int) -> tuple:
@@ -319,9 +327,8 @@ def query_classes(queries, d: int) -> tuple:
 
 
 def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
-    if cond.d != agg.d:
-        raise DomainError(f"condition length {cond.d} does not match aggregate dimension {agg.d}")
-    return float(_product_view(agg.values, _digit_slices(cond.alpha, cond.beta, target, digit), agg.classes).sum())
+    view = agg.values.reshape(tuple(max(m) + 1 for m in agg.classes))
+    return float(view[_class_index(agg.classes, cond, target, digit)].sum())
 
 
 def frequency_index_set(gamma) -> np.ndarray:
@@ -366,28 +373,50 @@ DEGENERACY_THRESHOLD = 1.0
 _THRESHOLD_SLACK = 1e-6
 
 
-def _degenerate(count: float) -> bool:
-    return count < DEGENERACY_THRESHOLD - _THRESHOLD_SLACK
+def _clipped_ratio(top: float, bottom: float, low: float) -> float:
+    """top / bottom clipped to [low, 1]; NaN when bottom counts fewer than one user."""
+    if bottom < DEGENERACY_THRESHOLD - _THRESHOLD_SLACK:
+        return math.nan
+    return float(np.clip(top / bottom, low, 1.0))
 
 
 def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> float:
     """Estimated frequency of key k among users matching the condition; NaN if degenerate."""
     augmented = cond.augmented(k)
     denominator = _product_sum(agg, cond)  # frequency_count of a condition already checked
-    if _degenerate(denominator):
-        return math.nan
-    numerator = _product_sum(agg, augmented)
-    return float(np.clip(numerator / denominator, 0.0, 1.0))
+    return _clipped_ratio(_product_sum(agg, augmented), denominator, 0.0)
 
 
 def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
     """Estimated mean value of key k among matching users holding it; NaN if degenerate."""
     augmented = cond.augmented(k)
     positive, negative = _product_sum(agg, augmented, k, 2), _product_sum(agg, augmented, k, 0)
-    holders = positive + negative  # the target key's {0, 2} digits, summed once
-    if _degenerate(holders):
-        return math.nan
-    return float(np.clip((positive - negative) / holders, -1.0, 1.0))
+    return _clipped_ratio(positive - negative, positive + negative, -1.0)  # holders: k's {0, 2} digits
+
+
+class QueryPlan:
+    """Per query (k, cond), the class-tensor indices of the four sums conditional_frequency and
+    conditional_mean read, built once per partition; answers(agg) sums the same views, bit for bit.
+    """
+
+    def __init__(self, queries, classes):
+        self.classes, self.shape, self.indices = classes, tuple(max(m) + 1 for m in classes), []
+        for k, cond in queries:
+            augmented = cond.augmented(k)
+            self.indices.append((_class_index(classes, cond), _class_index(classes, augmented),
+                                 _class_index(classes, augmented, k, 2), _class_index(classes, augmented, k, 0)))
+
+    def answers(self, agg: AggregateVector) -> list:
+        """(frequency, mean) of every query from an aggregate on the plan's partition."""
+        if agg.classes != self.classes:
+            raise DomainError(f"the plan reads partition {self.classes}, not {agg.classes}")
+        view = agg.values.reshape(self.shape)
+        answers = []
+        for indices in self.indices:
+            denominator, numerator, positive, negative = (float(view[index].sum()) for index in indices)
+            answers.append((_clipped_ratio(numerator, denominator, 0.0),
+                            _clipped_ratio(positive - negative, positive + negative, -1.0)))
+        return answers
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def true_conditionals(ds: Dataset, queries) -> list:
 
     Each query counts key-k holders among the users whose key-existence
     pattern matches its condition and averages their raw values; NaN marks
-    an empty conditioned population / no holders.  Each key's presence
-    column, and each target's values, are read once for all the queries.
+    an empty conditioned population / no holders.  One pass over row blocks
+    reads every named key's presence, and each target's values are read once.
     """
     queries = list(queries)
     for k, cond in queries:
@@ -264,8 +264,11 @@ def true_conditionals(ds: Dataset, queries) -> list:
         if cond.alpha[k]:
             raise DomainError(f"target key {k} must not be constrained by the condition")
     targets = {k: np.ascontiguousarray(ds.values[:, k]) for k in sorted({k for k, _ in queries})}
-    present = {key: ~np.isnan(ds.values[:, key])
-               for key in sorted(set(targets).union(*(np.flatnonzero(cond.alpha) for _, cond in queries)))}
+    keys = sorted(set(targets).union(*(np.flatnonzero(cond.alpha) for _, cond in queries)))
+    columns = np.empty((len(keys), ds.n), dtype=bool)  # one contiguous presence row per named key
+    for rows in row_blocks(ds.n, ds.d):
+        columns[:, rows] = ~np.isnan(ds.values[rows, keys]).T
+    present = dict(zip(keys, columns))
     answers = []
     for k, cond in queries:
         matched = np.ones(ds.n, dtype=bool)

@@ -35,8 +35,7 @@ from .conditional import (
     IOH_DIMENSION_CAP,
     Condition,
     Lumping,
-    conditional_frequency,
-    conditional_mean,
+    QueryPlan,
     query_classes,
 )
 from .core import DomainError, RandomSource, atomic_writer, ensure_generator
@@ -60,6 +59,8 @@ class ConfigError(ValueError):
 
 def _check_grid(epsilons, repetitions, workers) -> tuple:
     """Check the settings every experiment shares; returns the epsilons as floats."""
+    if isinstance(epsilons, (str, bytes)):  # iterating text would read each character as an epsilon
+        raise ConfigError(f"epsilons must be a sequence of positive finite reals, not text: {epsilons!r}")
     try:
         epsilons = tuple(float(e) for e in epsilons)
     except (TypeError, ValueError) as exc:
@@ -374,9 +375,9 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     rows carry both the private estimates and the oracle values.  A cell
     draws the atom sums of query_classes' partition, with the rows' exact
     joint law; full_partition draws all 3^d positions, so that cell 0's
-    aggregate is the full vector save_aggregate writes.  A cell that raises
-    leaves no rows and is recorded in the result's failures.  method is
-    kept for callers that pass it: "column" is the one simulation method.
+    aggregate is the full vector save_aggregate writes.  The oracle, the
+    Lumping and the QueryPlan are built once per call.  A cell that raises
+    leaves no rows and is recorded in failures.  method must be "column".
     """
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
@@ -388,20 +389,17 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
         raise ConfigError("at least one conditional query is required")
     oracle = true_conditionals(ds, queries)
     lumping = Lumping(ds.values, None if full_partition else query_classes(queries, ds.d))
+    plan = QueryPlan(queries, lumping.classes)
+    query_fields = [(f"k{k + 1}", condition_text(cond), *truth) for (k, cond), truth in zip(queries, oracle)]
     first = []  # cell (0, 0)'s aggregate, once that cell has answered every query
 
     def work(rng, cell, epsilon, rep):
         agg = lumping.draw(epsilon, rng)
-        cell_rows = []
-        for (k, cond), (true_freq, true_mean) in zip(queries, oracle):
-            est_freq = conditional_frequency(agg, k, cond)
-            est_mean = conditional_mean(agg, k, cond)
-            cell_rows.append({
-                "d": ds.d, "epsilon": epsilon, "repetition": rep,
-                "target": f"k{k + 1}", "condition": condition_text(cond),
-                "freq_est": est_freq, "freq_true": true_freq, "freq_ae": abs(est_freq - true_freq),
-                "mean_est": est_mean, "mean_true": true_mean, "mean_ae": abs(est_mean - true_mean),
-            })
+        cell_rows = [{
+            "d": ds.d, "epsilon": epsilon, "repetition": rep, "target": target, "condition": condition,
+            "freq_est": est_freq, "freq_true": true_freq, "freq_ae": abs(est_freq - true_freq),
+            "mean_est": est_mean, "mean_true": true_mean, "mean_ae": abs(est_mean - true_mean),
+        } for (target, condition, true_freq, true_mean), (est_freq, est_mean) in zip(query_fields, plan.answers(agg))]
         if cell == (0, 0):
             first.append(agg)
         return cell_rows

@@ -11,6 +11,7 @@ from kvldp.conditional import (
     IOH_DIMENSION_CAP,
     AggregateVector,
     Condition,
+    QueryPlan,
     aggregate_from_bit_sums,
     conditional_frequency,
     conditional_mean,
@@ -24,7 +25,8 @@ from kvldp.conditional import (
     simulate_ioh_bit_sums,
 )
 from kvldp.core import CapacityError, DomainError, RandomSource
-from kvldp.datagen import Dataset, true_conditional
+from kvldp.datagen import Dataset, gen_regime, true_conditional
+from kvldp.harness import run_conditional
 
 # Three users over {Hamburger, Fries, Pepsi} with deterministic +-1 values:
 # user1 <1,1>,<0,0>,<1,-1>; user2 <1,-1>,<1,1>,<1,1>; user3 <0,0>,<1,-1>,<1,-1>.
@@ -285,6 +287,25 @@ def test_conditional_contradictory_condition_is_undefined():
     cond = Condition.parse("k3=0", 3)
     assert math.isnan(conditional_frequency(agg, 0, cond))
     assert math.isnan(conditional_mean(agg, 0, cond))
+
+
+@pytest.mark.parametrize("full_partition", [False, True], ids=["lumped", "full"])
+@pytest.mark.parametrize("d, epsilon", [(4, 1.0), (4, 50.0), (8, 1.0), (8, 50.0)])
+def test_query_plan_answers_are_the_operators_bit_for_bit(d, epsilon, full_partition):
+    values = gen_regime("high", "low", d, 3000, seed=30 + d).values
+    values[:, d - 1] = np.nan_to_num(values[:, d - 1], nan=0.5)  # every user holds the last key
+    # The workload's queries, whose last one (k1 given k{d}=0) is contradictory, then a mean target on two keys.
+    queries = [(0, Condition.parse(f"k{j}={bit}", d)) for j in range(2, d + 1) for bit in (1, 0)]
+    queries.append((1, Condition.parse("k1=1,k3=0", d)))
+    rows = run_conditional(Dataset(values), (epsilon,), 1, seed=d, queries=queries, full_partition=full_partition)
+    agg = rows.aggregate  # cell 0's, whose rows come first
+    want = np.array([(conditional_frequency(agg, k, cond), conditional_mean(agg, k, cond)) for k, cond in queries])
+    assert np.array(QueryPlan(queries, agg.classes).answers(agg)).tobytes() == want.tobytes()
+    assert np.array([(row["freq_est"], row["mean_est"]) for row in rows]).tobytes() == want.tobytes()
+    if epsilon == 50.0:  # noiseless: the contradictory query counts no user
+        assert np.isnan(want[2 * (d - 1) - 1]).all() and not np.isnan(want).all()
+    with pytest.raises(DomainError, match="partition"):
+        QueryPlan(queries, agg.classes).answers(AggregateVector(agg.values, agg.n_users, d, epsilon, ((0, 0, 0),) * d))
 
 
 def test_conditional_boundary_all_plus_one():

@@ -323,7 +323,8 @@ def test_run_conditional_validation():
     # Every experiment rejects a bad grid with ConfigError before any cell runs.
     ds = Dataset(np.ones((10, 2)))
     for experiment in _experiments(ds):
-        for epsilons in ([], [-1.0], [0.0], [math.nan], [math.inf], [1.0, -1.0], ["one"]):
+        # Text is no sequence of epsilons: "12" would otherwise read as (1.0, 2.0), b"12" as (49.0, 50.0).
+        for epsilons in ([], [-1.0], [0.0], [math.nan], [math.inf], [1.0, -1.0], ["one"], "12", b"12"):
             with pytest.raises(ConfigError, match="epsilons"):
                 experiment(epsilons, 1, 1)
         for repetitions in (0, -2, 1.5, True):
