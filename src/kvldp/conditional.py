@@ -18,9 +18,12 @@ digits (query_classes) and need only the sums over atoms, the products of
 classes.  Over an atom A the column sums add up to exactly
 Binomial(c_A, p) + Binomial(n|A| - c_A, 1 - p), which Lumping.draw draws
 in O(n + atoms) with every answer's exact joint law; the full 3^d vector
-is the partition into single positions.  This module keeps what is
-specific to full records: the record index, the bit-sum simulation, the
-index algebra and persistence.
+is the partition into single positions.  _class_index writes the
+digit-set rule once: QueryPlan sums its views into answers, the two
+operators are one-query plans, and the index sets read it on the
+identity partition.  This module keeps what is specific to full records:
+the record index, the bit-sum simulation, the index algebra and
+persistence.
 """
 
 from __future__ import annotations
@@ -286,29 +289,17 @@ def _class_slice(classes: tuple, start, stop, step) -> slice:
     return slice(members[0], members[-1] + 1, members[1] - members[0] if len(members) > 1 else 1)
 
 
-def _product_values(values: np.ndarray, digit_slices) -> np.ndarray:
-    """Full-vector values at the Cartesian product of per-key digit slices, in ascending index order.
-
-    The positions frequency_index_set and mean_index_sets return; a query
-    sums the strided view (_class_index) without this contiguous copy.
-    """
-    return np.ascontiguousarray(values.reshape((3,) * len(digit_slices))[tuple(digit_slices)]).ravel()
-
-
-def _digit_slices(alpha, beta, target=None, digit=None) -> list:
-    """Per-key slices of the digits matching beta on alpha, the target key pinned to digit."""
-    slices = [(slice(0, 3, 2) if b else slice(1, 2)) if a else slice(0, 3) for a, b in zip(alpha, beta)]
-    if target is not None:
-        slices[target] = slice(digit, digit + 1)
-    return slices
-
-
 def _class_index(classes, cond: Condition, target=None, digit=None) -> tuple:
-    """The index of the class tensor whose view holds the atoms of cond's digits, target pinned to digit."""
+    """The index of the class tensor whose view holds the atoms of cond's digits, target pinned to digit.
+
+    A key constrained present reads digits {0,2}, absent {1}, unconstrained {0,1,2}; the target {digit}.
+    """
     if cond.d != len(classes):
         raise DomainError(f"condition length {cond.d} does not match aggregate dimension {len(classes)}")
-    slices = _digit_slices(cond.alpha, cond.beta, target, digit)
-    return tuple(_class_slice(m, s.start, s.stop, s.step) for m, s in zip(classes, slices))
+    digits = [((0, 3, 2) if b else (1, 2, 1)) if a else (0, 3, 1) for a, b in zip(cond.alpha, cond.beta)]
+    if target is not None:
+        digits[target] = (digit, digit + 1, 1)
+    return tuple(_class_slice(m, *s) for m, s in zip(classes, digits))
 
 
 def query_classes(queries, d: int) -> tuple:
@@ -326,16 +317,16 @@ def query_classes(queries, d: int) -> tuple:
     return tuple(classes)
 
 
-def _product_sum(agg: AggregateVector, cond: Condition, target=None, digit=None) -> float:
-    view = agg.values.reshape(tuple(max(m) + 1 for m in agg.classes))
-    return float(view[_class_index(agg.classes, cond, target, digit)].sum())
+def _positions(cond: Condition, target=None, digit=None) -> np.ndarray:
+    """The full vector's positions of cond's digits, target pinned to digit, in ascending order."""
+    positions = np.arange(3 ** cond.d, dtype=np.int64).reshape((3,) * cond.d)
+    return positions[_class_index(_class_maps(None, cond.d), cond, target, digit)].ravel()
 
 
 def frequency_index_set(gamma) -> np.ndarray:
     """Positions matching an exact existence pattern: digit {0,2} where present, {1} where absent."""
     gamma = _check_bits(gamma, len(gamma), "gamma")
-    positions = np.arange(3 ** len(gamma), dtype=np.int64)
-    return _product_values(positions, _digit_slices((1,) * len(gamma), gamma))
+    return _positions(Condition((1,) * len(gamma), gamma))
 
 
 def mean_index_sets(k: int, gamma):
@@ -350,9 +341,8 @@ def mean_index_sets(k: int, gamma):
         raise DomainError(f"target key {k} outside pattern of length {len(gamma)}")
     if not gamma[k]:
         raise DomainError(f"pattern marks target key {k} absent; its value is meaningless")
-    positions = np.arange(3 ** len(gamma), dtype=np.int64)
-    plus, minus = (_digit_slices((1,) * len(gamma), gamma, k, digit) for digit in (2, 0))
-    return _product_values(positions, plus), _product_values(positions, minus)
+    pattern = Condition((1,) * len(gamma), gamma)
+    return _positions(pattern, k, 2), _positions(pattern, k, 0)
 
 
 def frequency_count(agg: AggregateVector, alpha, beta) -> float:
@@ -362,7 +352,8 @@ def frequency_count(agg: AggregateVector, alpha, beta) -> float:
     with gamma & alpha == beta; computed directly as one Cartesian-product
     sum since those index sets partition it.
     """
-    return _product_sum(agg, Condition(tuple(alpha), tuple(beta)))
+    index = _class_index(agg.classes, Condition(tuple(alpha), tuple(beta)))
+    return float(agg.values.reshape(tuple(max(m) + 1 for m in agg.classes))[index].sum())
 
 
 # A calibrated count below one user carries no signal; ratios against it
@@ -374,29 +365,15 @@ _THRESHOLD_SLACK = 1e-6
 
 
 def _clipped_ratio(top: float, bottom: float, low: float) -> float:
-    """top / bottom clipped to [low, 1]; NaN when bottom counts fewer than one user."""
+    """top / bottom clipped to [low, 1] as np.clip clips it; NaN when bottom counts fewer than one user."""
     if bottom < DEGENERACY_THRESHOLD - _THRESHOLD_SLACK:
         return math.nan
-    return float(np.clip(top / bottom, low, 1.0))
-
-
-def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> float:
-    """Estimated frequency of key k among users matching the condition; NaN if degenerate."""
-    augmented = cond.augmented(k)
-    denominator = _product_sum(agg, cond)  # frequency_count of a condition already checked
-    return _clipped_ratio(_product_sum(agg, augmented), denominator, 0.0)
-
-
-def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
-    """Estimated mean value of key k among matching users holding it; NaN if degenerate."""
-    augmented = cond.augmented(k)
-    positive, negative = _product_sum(agg, augmented, k, 2), _product_sum(agg, augmented, k, 0)
-    return _clipped_ratio(positive - negative, positive + negative, -1.0)  # holders: k's {0, 2} digits
+    return min(max(top / bottom, low), 1.0)
 
 
 class QueryPlan:
-    """Per query (k, cond), the class-tensor indices of the four sums conditional_frequency and
-    conditional_mean read, built once per partition; answers(agg) sums the same views, bit for bit.
+    """Per query (k, cond), the class-tensor indices of its four sums (the condition's users, those holding k,
+    k at digit 2 and at digit 0), built once per partition; answers(agg) is the one path to the answers.
     """
 
     def __init__(self, queries, classes):
@@ -415,8 +392,18 @@ class QueryPlan:
         for indices in self.indices:
             denominator, numerator, positive, negative = (float(view[index].sum()) for index in indices)
             answers.append((_clipped_ratio(numerator, denominator, 0.0),
-                            _clipped_ratio(positive - negative, positive + negative, -1.0)))
+                            _clipped_ratio(positive - negative, positive + negative, -1.0)))  # holders: {0, 2}
         return answers
+
+
+def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> float:
+    """Estimated frequency of key k among users matching the condition; NaN if degenerate."""
+    return QueryPlan([(k, cond)], agg.classes).answers(agg)[0][0]
+
+
+def conditional_mean(agg: AggregateVector, k: int, cond: Condition) -> float:
+    """Estimated mean value of key k among matching users holding it; NaN if degenerate."""
+    return QueryPlan([(k, cond)], agg.classes).answers(agg)[0][1]
 
 
 # ---------------------------------------------------------------------------

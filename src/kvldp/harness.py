@@ -375,8 +375,9 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     rows carry both the private estimates and the oracle values.  A cell
     draws the atom sums of query_classes' partition, with the rows' exact
     joint law; full_partition draws all 3^d positions, so that cell 0's
-    aggregate is the full vector save_aggregate writes.  The oracle, the
-    Lumping and the QueryPlan are built once per call.  A cell that raises
+    aggregate is the full vector save_aggregate writes.  queries, any
+    iterable of (k, cond), is read once; the oracle, the Lumping and the
+    QueryPlan are built once per call.  A cell that raises
     leaves no rows and is recorded in failures.  method must be "column".
     """
     if ds.d > IOH_DIMENSION_CAP:
@@ -384,7 +385,7 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     epsilons = _check_grid(epsilons, repetitions, workers)
     if method != "column":
         raise ConfigError(f"unknown simulation method {method!r}; choose column")
-    queries = queries if queries is not None else default_conditional_queries(ds.d)
+    queries = list(queries) if queries is not None else default_conditional_queries(ds.d)
     if not queries:
         raise ConfigError("at least one conditional query is required")
     oracle = true_conditionals(ds, queries)

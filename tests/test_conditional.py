@@ -12,6 +12,7 @@ from kvldp.conditional import (
     AggregateVector,
     Condition,
     QueryPlan,
+    _clipped_ratio,
     aggregate_from_bit_sums,
     conditional_frequency,
     conditional_mean,
@@ -306,6 +307,25 @@ def test_query_plan_answers_are_the_operators_bit_for_bit(d, epsilon, full_parti
         assert np.isnan(want[2 * (d - 1) - 1]).all() and not np.isnan(want).all()
     with pytest.raises(DomainError, match="partition"):
         QueryPlan(queries, agg.classes).answers(AggregateVector(agg.values, agg.n_users, d, epsilon, ((0, 0, 0),) * d))
+
+
+def test_a_target_whose_digits_0_and_2_share_a_class_is_no_target():
+    # Key 1's classes lump its negative and positive values; both operators answer through one plan,
+    # which reads k1 at digit 2 and at digit 0 apart, so the frequency raises where the mean does.
+    agg = AggregateVector(np.ones(2 * 3), 100, 2, 1.0, ((0, 1, 0), (0, 1, 2)))
+    for operator_ in (conditional_frequency, conditional_mean):
+        with pytest.raises(DomainError, match="split a class"):
+            operator_(agg, 0, Condition.empty(2))
+    assert conditional_frequency(agg, 1, Condition.parse("k1=1", 2)) == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("low", [0.0, -1.0])
+def test_clipped_ratio_clips_as_np_clip_does(low):
+    for x in (-0.0, 0.0, math.nan, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, math.inf, -math.inf):
+        got = _clipped_ratio(x, 1.0, low)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.clip(x, low, 1.0)).tobytes(), x
+    assert math.isnan(_clipped_ratio(1.0, 0.5, low))  # fewer than one user
 
 
 def test_conditional_boundary_all_plus_one():

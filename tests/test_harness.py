@@ -356,8 +356,18 @@ def test_run_conditional_rejects_no_queries_before_any_cell_runs(monkeypatch):
 
     monkeypatch.setattr(harness, "_run_grid", fail)
     monkeypatch.setattr(harness, "true_conditionals", fail)
-    with pytest.raises(ConfigError, match="at least one conditional query"):
-        run_conditional(Dataset(np.ones((10, 2))), [1.0], 1, 0, queries=[])
+    for queries in ([], iter([])):
+        with pytest.raises(ConfigError, match="at least one conditional query"):
+            run_conditional(Dataset(np.ones((10, 2))), [1.0], 1, 0, queries=queries)
+
+
+def test_run_conditional_reads_an_iterator_of_queries_as_its_list():
+    ds = gen_regime("high", "low", d=3, n=500, seed=17)
+    queries = [(0, Condition.parse("k2=1", 3)), (2, Condition.parse("k1=0", 3))]
+    want = run_conditional(ds, [1.0], 2, 5, queries=queries)
+    got = run_conditional(ds, [1.0], 2, 5, queries=iter(queries))
+    assert len(want) == 4 and not got.failures
+    assert repr(list(got)) == repr(list(want))
 
 
 @pytest.mark.parametrize("workers", [0, -1, True])

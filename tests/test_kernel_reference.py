@@ -42,9 +42,9 @@ from kvldp.conditional import (
     AggregateVector,
     Condition,
     Lumping,
+    QueryPlan,
     _atom_sizes,
-    _product_sum,
-    _product_values,
+    _class_index,
     aggregate_from_bit_sums,
     conditional_frequency,
     conditional_mean,
@@ -711,14 +711,6 @@ def _ref_materialize(freq_targets, mean_targets, n, rng, value_spread):
     return np.where(present, mean_targets[None, :] + jitter, np.nan)
 
 
-DIGIT_SETS = [(0, 2), (1,), (0, 1, 2), (0,), (2,)]
-
-
-def _slices(digit_sets):
-    """Each ascending digit set as the slice that selects it along a base-3 axis."""
-    return [slice(s[0], s[-1] + 1, 2 if s == (0, 2) else 1) for s in digit_sets]
-
-
 def _aggregate(d, seed):
     """Calibrated-looking values over 16 decades, so any change of summation order shows."""
     rng = np.random.default_rng(seed)
@@ -726,26 +718,55 @@ def _aggregate(d, seed):
     return AggregateVector(values, 1000, d, 1.0)
 
 
-def _digit_products(d, seed, count):
+def _digit_sets(cond, target=None, digit=None):
+    """Per key, the ascending digits a query reads: {0,2} present, {1} absent, {0,1,2} free, the target {digit}."""
+    sets = [((0, 2) if b else (1,)) if a else (0, 1, 2) for a, b in zip(cond.alpha, cond.beta)]
+    if target is not None:
+        sets[target] = (digit,)
+    return sets
+
+
+def _digit_queries(d, seed, count):
+    """(cond, target, digit): no key, every key present and every key absent constrained, then random
+    conditions; each read whole and with a random key pinned to digit 0 and to digit 2."""
     rng = np.random.default_rng(seed)
-    products = [[(0, 1, 2)] * d, [(0,)] * d, [(2,)] * d, [(1,)] * d, [(0, 2)] * d]
-    products += [[DIGIT_SETS[i] for i in rng.integers(0, len(DIGIT_SETS), d)] for _ in range(count)]
-    return products
+    conds = [Condition.empty(d), Condition((1,) * d, (1,) * d), Condition((1,) * d, (0,) * d)]
+    for _ in range(count):
+        alpha = rng.integers(0, 2, d)
+        conds.append(Condition(alpha, alpha * rng.integers(0, 2, d)))
+    for cond in conds:
+        target = int(rng.integers(d))
+        yield from ((cond, None, None), (cond, target, 0), (cond, target, 2))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
 def test_product_sums_match_the_index_gather(d):
+    # On the identity partition a query's view is the gather of its positions, in ascending index order.
     agg = _aggregate(d, d)
-    for sets in _digit_products(d, d + 1, 30):
-        got = _product_values(agg.values, _slices(sets))
-        want = agg.values[_ref_product_indices(sets)]
+    identity = ((0, 1, 2),) * d
+    for cond, target, digit in _digit_queries(d, d + 1, 30):
+        index = _class_index(identity, cond, target, digit)
+        positions = _ref_product_indices(_digit_sets(cond, target, digit))
+        assert np.arange(3 ** d).reshape((3,) * d)[index].ravel().tobytes() == positions.tobytes()
+        got, want = agg.values.reshape((3,) * d)[index].ravel(), agg.values[positions]
         assert got.tobytes() == want.tobytes()
         assert np.float64(got.sum()).tobytes() == np.float64(want.sum()).tobytes()
+        if all(cond.alpha):  # an exact pattern: the index sets hold the same positions
+            if target is None:
+                assert frequency_index_set(cond.beta).tobytes() == positions.tobytes()
+            elif cond.beta[target]:
+                assert mean_index_sets(target, cond.beta)[digit == 0].tobytes() == positions.tobytes()
 
 
 def _assert_same_sum(got, gathered):
     """got sums gathered's entries in its own order: equal to 1e-9 of their summed magnitudes."""
     assert abs(got - gathered.sum()) <= 1e-9 * np.abs(gathered).sum(), (got, gathered.sum())
+
+
+def _plan_sums(agg, k, cond):
+    """The four sums QueryPlan.answers forms for (k, cond): the condition's users, k held, k at 2 and at 0."""
+    plan = QueryPlan([(k, cond)], agg.classes)
+    return [float(agg.values.reshape(plan.shape)[index].sum()) for index in plan.indices[0]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
@@ -756,18 +777,17 @@ def test_frequency_and_signed_sums_match_the_index_gather(d):
     for _ in range(20):
         alpha = rng.integers(0, 2, d)
         beta = alpha * rng.integers(0, 2, d)
-        sets = [((0, 2) if b else (1,)) if a else (0, 1, 2) for a, b in zip(alpha, beta)]
-        _assert_same_sum(frequency_count(agg, alpha, beta), agg.values[_ref_product_indices(sets)])
+        cond = Condition(alpha, beta)
+        _assert_same_sum(frequency_count(agg, alpha, beta), agg.values[_ref_product_indices(_digit_sets(cond))])
         free = np.flatnonzero(alpha == 0)
         if free.size:
             k = int(free[0])
-            augmented = Condition(tuple(alpha), tuple(beta)).augmented(k)
-            sets[k] = (2,)
-            plus = agg.values[_ref_product_indices(sets)]
-            sets[k] = (0,)
-            minus = agg.values[_ref_product_indices(sets)]
-            signed = _product_sum(agg, augmented, k, 2) - _product_sum(agg, augmented, k, 0)
-            _assert_same_sum(signed, np.concatenate([plus, -minus]))
+            denominator, numerator, positive, negative = _plan_sums(agg, k, cond)
+            _assert_same_sum(denominator, agg.values[_ref_product_indices(_digit_sets(cond))])
+            _assert_same_sum(numerator, agg.values[_ref_product_indices(_digit_sets(cond.augmented(k)))])
+            plus = agg.values[_ref_product_indices(_digit_sets(cond, k, 2))]
+            minus = agg.values[_ref_product_indices(_digit_sets(cond, k, 0))]
+            _assert_same_sum(positive - negative, np.concatenate([plus, -minus]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -784,10 +804,9 @@ def test_query_sums_match_the_index_set_sums_for_every_condition(d):
         members = [gamma for gamma in patterns if all(g == b for g, a, b in zip(gamma, alpha, beta) if a)]
         _assert_same_sum(frequency_count(agg, alpha, beta), agg.values[np.concatenate([exact[g] for g in members])])
         for k in (key for key in range(d) if not alpha[key]):
-            augmented = Condition(alpha, beta).augmented(k)
-            for digit, side in ((2, 0), (0, 1)):
+            for sum_, side in zip(_plan_sums(agg, k, Condition(alpha, beta))[2:], (0, 1)):
                 positions = np.concatenate([signed[k, g][side] for g in members if g[k]])
-                _assert_same_sum(_product_sum(agg, augmented, k, digit), agg.values[positions])
+                _assert_same_sum(sum_, agg.values[positions])
 
 
 def _block_sizes(row_size):
