@@ -6,8 +6,9 @@ contributes the digit key_bit * value_sign + 1 (0 = present negative,
 on a domain of 3^d positions: every bit of the number's one-hot vector is
 flipped by kvoh_bit_channel at budget eps/2, which composes to eps since
 two one-hot vectors differ in two bits, and kvoh_decode_array calibrates
-the summed vectors to unbiased per-index user counts.  The aggregator sees
-only those sums, so the simulation draws them from their exact law.
+the summed vectors to unbiased per-index user counts with that table's
+inverse (channel_inverse).  The aggregator sees only those sums, so the
+simulation draws them from their exact law.
 
 L-way conditional queries sum calibrated positions over Cartesian-product
 index sets: a key constrained present contributes digits {0,2},

@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -214,6 +215,9 @@ def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     """
     root = RandomSource(seed)
     cells = itertools.product(*(range(len(labels)) for labels in axes.values()))
+    # pool.map submits every cell at once: no more threads than cells or than CPUs this process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, math.prod(map(len, axes.values())), cpus)
 
     def attempt(cell):
         labels = [axis[i] for axis, i in zip(axes.values(), cell)]

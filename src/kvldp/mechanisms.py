@@ -23,7 +23,8 @@ PROTOCOLS maps each name, privkv-improved included, to its wire form,
 code-table tally, channel and decoder.  One sampler draws every mechanism's
 reports from that very table, the one worst_case_ratio audits, into one
 ReportBatch; the *_encode_population names call it with their channel.
-Decoders work on per-key tallies, one row per key.
+Decoders work on per-key tallies, one row per key, and read the inverse
+of the same table from channel_inverse, which holds the one conditioning rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .core import (
     PrivacyBudget,
     check_epsilon,
     ensure_generator,
-    flip_keep_probability,
     state_digits,
 )
 
@@ -330,68 +330,54 @@ def _require_conditioned(value: float, what: str):
         raise IllConditionedError(f"{what} = {value:.3e} is below {_MIN_CONDITIONING:g}; epsilon too small")
 
 
-def privkv_decode_original_array(counts: np.ndarray, budget: PrivacyBudget):
-    """Original privkv calibration, vectorized over keys.
+def _bit_estimate(ones, totals, channel: np.ndarray) -> np.ndarray:
+    """True 1 bits behind ones set bits of totals, each bit sent through a (2, 2) channel with D = its inverse.
 
-    counts has shape (d, 3) indexed by state digit.  Returns (frequency,
-    mean, mean_defined) arrays; keys with no reports get NaN frequency.
+    D[0, 1] totals + (D[1, 1] - D[0, 1]) ones, with totals broadcast and added in place: one new array.
+    """
+    (_, d01), (_, d11) = channel_inverse(channel)
+    estimates = (d11 - d01) * np.asarray(ones, dtype=np.float64)
+    estimates += d01 * np.asarray(totals, dtype=np.float64)
+    return estimates
+
+
+def privkv_decode_original_array(counts: np.ndarray, budget: PrivacyBudget):
+    """Original privkv calibration, vectorized over keys; counts has shape (d, 3) indexed by state digit.
+
+    Key bit and value sign each read their randomized-response inverse: in closed form the frequency
+    (f - 1 + p1) / (2p1 - 1) of the signed share f, and the counts (M_{+-1} - (1 - p2)(M1 + M-1)) / (2p2 - 1)
+    clipped to [0, M1 + M-1].  Returns (frequency, mean, mean_defined); keys with no reports get NaN frequency.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    p1 = flip_keep_probability(budget.epsilon_key)
-    p2 = flip_keep_probability(budget.epsilon_value)
-    _require_conditioned(2.0 * p1 - 1.0, "2*p1 - 1")
-    _require_conditioned(2.0 * p2 - 1.0, "2*p2 - 1")
     m_total = counts.sum(axis=1)
-    n_pos = counts[:, POS]
-    n_neg = counts[:, NEG]
-    n_signed = n_pos + n_neg
+    n_signed = counts[:, POS] + counts[:, NEG]
+    held = _bit_estimate(n_signed, m_total, rr_channel(budget.epsilon_key))
+    signs = _bit_estimate(counts[:, [POS, NEG]], n_signed[:, None], rr_channel(budget.epsilon_value))
+    n1, n2 = np.clip(signs, 0.0, n_signed[:, None]).T
     with np.errstate(invalid="ignore", divide="ignore"):
-        f_hat = np.where(m_total > 0, n_signed / m_total, np.nan)
-        frequency = np.clip((p1 - 1.0 + f_hat) / (2.0 * p1 - 1.0), 0.0, 1.0)
-        shift = (p2 - 1.0) / (2.0 * p2 - 1.0) * n_signed
-        n1 = np.clip(shift + n_pos / (2.0 * p2 - 1.0), 0.0, n_signed)
-        n2 = np.clip(shift + n_neg / (2.0 * p2 - 1.0), 0.0, n_signed)
+        frequency = np.clip(np.where(m_total > 0, held / m_total, np.nan), 0.0, 1.0)
         defined = n_signed >= 1
         mean = np.where(defined, (n1 - n2) / np.where(n_signed > 0, n_signed, 1.0), np.nan)
     return frequency, mean, defined
 
 
 def privkv_decode_improved_array(counts: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    """Unbiased state-count estimates under the privkv channel, shape (d, 3).
+    """Unbiased state-count estimates under the privkv channel, shape (d, 3): counts @ its inverse.
 
-    Solves the two linear relations the channel imposes on the observed
-    counts: the signed total (M1 + M-1 - M(1-p1)) / (2p1 - 1) recovers
-    N1 + N-1, and (M1 - M-1) / (p1 (2p2 - 1)) recovers N1 - N-1.  The
-    absent estimate keeps the three parts summing to the report total.
+    In closed form, (M1 + M-1 - M(1-p1)) / (2p1 - 1) recovers N1 + N-1 and
+    (M1 - M-1) / (p1 (2p2 - 1)) recovers N1 - N-1; the absent estimate
+    keeps the three parts summing to the report total.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    p1 = flip_keep_probability(budget.epsilon_key)
-    p2 = flip_keep_probability(budget.epsilon_value)
-    _require_conditioned(2.0 * p1 - 1.0, "2*p1 - 1")
-    _require_conditioned(2.0 * p2 - 1.0, "2*p2 - 1")
-    m_total = counts.sum(axis=1)
-    m_pos = counts[:, POS]
-    m_neg = counts[:, NEG]
-    signed_sum = (m_pos + m_neg - m_total * (1.0 - p1)) / (2.0 * p1 - 1.0)
-    signed_diff = (m_pos - m_neg) / (p1 * (2.0 * p2 - 1.0))
-    estimates = np.empty_like(counts)
-    estimates[:, POS] = (signed_sum + signed_diff) / 2.0
-    estimates[:, NEG] = (signed_sum - signed_diff) / 2.0
-    estimates[:, ABSENT] = m_total - signed_sum
-    return estimates
+    return np.asarray(counts, dtype=np.float64) @ channel_inverse(lpp_channel(budget))
 
 
 def kvue_decode_array(counts: np.ndarray, epsilon: float) -> np.ndarray:
-    """Invert the 3-state generalized randomized response: N_i* = (2 M_i - (1-p) M) / (3p - 1)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    p = 1.0 / (1.0 + 2.0 * math.exp(-float(epsilon)))
-    _require_conditioned(3.0 * p - 1.0, "3*p - 1")
-    m_total = counts.sum(axis=1, keepdims=True)
-    return (2.0 * counts - (1.0 - p) * m_total) / (3.0 * p - 1.0)
+    """counts @ the inverse of kvue's channel; in closed form N_i* = (2 M_i - (1-p) M) / (3p - 1)."""
+    return np.asarray(counts, dtype=np.float64) @ channel_inverse(kvue_channel(epsilon))
 
 
 def kvoh_decode_array(bit_sums: np.ndarray, n_reports: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per-position calibration N_i* = ((e^{eps/2}+1) M_i - N) / (e^{eps/2}-1).
+    """Per-position inverse of kvoh_bit_channel; in closed form N_i* = ((e^{eps/2}+1) M_i - N) / (e^{eps/2}-1).
 
     Positions are calibrated independently and deliberately not
     renormalized; the three estimates need not sum to N.
@@ -400,11 +386,7 @@ def kvoh_decode_array(bit_sums: np.ndarray, n_reports: np.ndarray, epsilon: floa
     n_reports = np.asarray(n_reports, dtype=np.float64)
     if bit_sums.min(initial=0.0) < 0 or np.any(bit_sums > n_reports[..., None]):
         raise DomainError("bit sums must lie in [0, n_reports]")
-    denom = math.expm1(float(epsilon) / 2.0)
-    _require_conditioned(denom, "e^{eps/2} - 1")
-    estimates = (denom + 2.0) * bit_sums
-    estimates -= n_reports[..., None]  # in place: a broadcast operand blocks numpy's temporary elision
-    return np.divide(estimates, denom, out=estimates)
+    return _bit_estimate(bit_sums, n_reports[..., None], kvoh_bit_channel(epsilon))
 
 
 def stats_from_estimates(estimates: np.ndarray, n_reports: np.ndarray):
@@ -429,23 +411,17 @@ def stats_from_estimates(estimates: np.ndarray, n_reports: np.ndarray):
 def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_value: float):
     """f2m calibration, vectorized over keys.
 
-    The key channel is the same randomized response as privkv, so the
-    frequency uses the identical calibration with the key budget.  The
-    all-report mean uses the value budget, then the default-value mass of
-    the absent keys is subtracted and rescaled by the frequency.
+    The frequency reads privkv's key-bit inverse; the all-report mean reads the value-sign inverse, in
+    closed form (pos - neg) / (pos + neg) times (e^eps2 + 1) / (e^eps2 - 1).  Then the default-value
+    mass of the absent keys is subtracted and rescaled by the frequency.
     """
-    ones = np.asarray(ones, dtype=np.float64)
     totals = np.asarray(totals, dtype=np.float64)
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    p1 = flip_keep_probability(budget.epsilon_key)
-    _require_conditioned(2.0 * p1 - 1.0, "2*p1 - 1")
-    factor = 1.0 / math.tanh(budget.epsilon_value / 2.0)  # (e^eps2 + 1) / (e^eps2 - 1)
+    signed = np.add(pos, neg, dtype=np.float64)
+    held = _bit_estimate(ones, totals, rr_channel(budget.epsilon_key))
+    plus = _bit_estimate(pos, signed, rr_channel(budget.epsilon_value))
     with np.errstate(invalid="ignore", divide="ignore"):
-        f_hat = np.where(totals > 0, ones / totals, np.nan)
-        frequency = np.clip((p1 - 1.0 + f_hat) / (2.0 * p1 - 1.0), 0.0, 1.0)
-        signed = pos + neg
-        mean_all = factor * np.where(signed > 0, (pos - neg) / np.where(signed > 0, signed, 1.0), np.nan)
+        frequency = np.clip(np.where(totals > 0, held / totals, np.nan), 0.0, 1.0)
+        mean_all = np.where(signed > 0, (2.0 * plus - signed) / np.where(signed > 0, signed, 1.0), np.nan)
         defined = (totals > 0) & (frequency >= 1.0 / np.where(totals > 0, totals, 1.0))
         mean = np.where(
             defined,
@@ -473,7 +449,8 @@ def _check_bound_inputs(mechanism, epsilon: float, n: int, delta: float, f_k: fl
     mechanism = Mechanism(mechanism)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
-    _require_conditioned(math.tanh(epsilon / 2.0), "tanh(eps/2)")  # the decoders' floor, about eps = 2e-12
+    # channel_inverse's rule on rr_channel(eps), whose smallest singular value is tanh(eps/2): about eps = 2e-12.
+    _require_conditioned(math.tanh(epsilon / 2.0), "tanh(eps/2)")
     if not n >= 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
     if not 0.0 < delta < 1.0:
@@ -659,6 +636,17 @@ def kvoh_channel(epsilon: float) -> np.ndarray:
     """(3, 8) table: input state digit vs 3-bit output pattern (b0 b1 b2 big-endian)."""
     bit = kvoh_bit_channel(epsilon)
     return np.kron(np.kron(bit, bit), bit)[[4, 2, 1]]  # the one-hot patterns of digits 0, 1, 2
+
+
+def channel_inverse(table: np.ndarray) -> np.ndarray:
+    """The decoder D of a square channel table: counts @ D estimates the true state counts.
+
+    IllConditionedError when its smallest singular value is below _MIN_CONDITIONING, checked before
+    inverting: at a vanishing epsilon the rows are equal and the table has no inverse.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    _require_conditioned(np.linalg.svd(table, compute_uv=False).min(), "the channel's smallest singular value")
+    return np.linalg.inv(table)
 
 
 def worst_case_ratio(table: np.ndarray) -> float:

@@ -32,7 +32,7 @@ PACK_DIMS = (20, 37, 65)
 
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
-    "aggregate.txt": "db37c281f2fffb22a109d53aae6b4e947a773fe34379014df0ea63373313a8e9",
+    "aggregate.txt": "c3e27059ae5549dc6686a5ca12176ab2d8585644f2371a3df0e0656b39731d64",
     "conditional.csv": "bf7456cdded2075075215c25d1c7963f754a61d3d920ac96f083cf2bd5d0abd3",
     "gaussian.csv": "2aa8802dabef4bec10cd71a3007aa3e56992f939616623a726f3e5489e1c3d3b",
     "packed/f2m.d20": "8dd336c40af2792073381955dc35f6230e8beb5de9bf9192fef6e3b76084871a",
@@ -52,7 +52,7 @@ GOLDEN = {
     "packed/privkv.d65": "f05b0638944dfabb525df0aed1193cfd9c72cc52dff905f7dfb02cabdb8ec49d",
     "regime.csv": "a070e8dbefa60fa30e43a7c6e1f18ab0a33c26ab940543e2fb5051c1f6c91273",
     "run.csv": "89ae92ee0542218e29b8072aa80ef5eff6670c56a334ab184a0f8d57594fd1ef",
-    "run.perkey.csv": "7a93478d67c0120e5afd1f08d2262236f1b8070a19166cf81ce1f5f8ef276b44",
+    "run.perkey.csv": "dac90965b77b0d94f1fa777811033cacd03171639b11be53b4ee2a4dbbcc8bc8",
     "run.summary.csv": "0cee813de968458dcca3682e7630d4ba97cb9249889c76472ce28fe6e5d5f4e9",
     "study.csv": "991878fafe1854b34e4d94c373604a73b7957b783ed8676a64d71ce195b5a15c",
     "study.summary.csv": "e0d2e75e422463bf825843584723dd52ec1b7ff9c7126d2028231646966a9339",

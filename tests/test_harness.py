@@ -378,6 +378,43 @@ def test_experiments_reject_non_positive_workers(workers):
             experiment([1.0], 1, workers)
 
 
+class _PoolRecorder:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps in this thread, starting none."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 6), (2, 2), (1, None)])
+def test_the_pool_has_at_most_one_thread_per_cell_and_cpu(monkeypatch, cpus, expected):
+    # 5000 workers once asked for a thread per cell; here the grid has 2 x 3 cells.
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    ds = _small_dataset(n=500, d=3)
+
+    def rows(workers):
+        config = ExperimentConfig(mechanisms=("kvue", "kvoh"), epsilons=(1.0,), repetitions=3, seed=5, workers=workers)
+        return rows_to_dicts(run_sweep(config, ds).rows)
+
+    serial = rows(1)
+    assert _PoolRecorder.sizes == []
+    pooled = rows(5000)
+    assert _PoolRecorder.sizes == ([] if expected is None else [expected])
+    assert repr(pooled) == repr(serial)
+
+
 def test_condition_text_round_trip():
     cond = Condition.parse("k3=1,k1=0", 3)
     assert condition_text(cond) == "k1=0,k3=1"

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvldp.conditional import aggregate_from_bit_sums
 from kvldp.core import DomainError, IllConditionedError, PrivacyBudget, RandomSource
 from kvldp.mechanisms import (
     ABSENT,
     NEG,
+    PAYLOADS,
     POS,
+    PROTOCOLS,
     Mechanism,
     Report,
     count_deviation_bound,
@@ -423,12 +426,28 @@ def test_improved_linear_identities():
 
 
 def test_ill_conditioned_budgets_raise():
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(IllConditionedError, match="epsilon too small"):
         privkv_decode_improved_array(_counts(1, 1, 1), PrivacyBudget(1e-13, 1.0))
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(IllConditionedError, match="epsilon too small"):
         kvue_decode_array(_counts(1, 1, 1), 1e-13)
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(IllConditionedError, match="epsilon too small"):
         kvoh_decode_array(np.array([[1, 1, 1]]), np.array([3]), 1e-13)
+
+
+def _decode_at(name):
+    if name == "ioh":
+        return lambda eps: aggregate_from_bit_sums(np.full(9, 2), 3, 2, eps)
+    entry = PROTOCOLS[name]
+    return lambda eps: entry.decode(np.ones((2, len(PAYLOADS[entry.mechanism].values))), eps, 0.0)
+
+
+@pytest.mark.parametrize("name", [*PROTOCOLS, "ioh"])
+@pytest.mark.parametrize("epsilon", [1e-13, 1e-20])
+def test_every_decoder_applies_the_one_conditioning_rule(name, epsilon):
+    # At 1e-20 every channel's rows are equal, so only the check before inverting gives this error.
+    with pytest.raises(IllConditionedError, match="epsilon too small"):
+        _decode_at(name)(epsilon)
+    _decode_at(name)(1.0)  # the same call decodes at a workable budget
 
 
 def test_noiseless_degeneracy_all_mechanisms():

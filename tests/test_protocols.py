@@ -3,7 +3,8 @@
 The chi-square tests count each sampler's (true state, payload code)
 pairs and compare them with the registry's channel Pr[payload code | true
 state digit]; the algebraic tests read each linear decoder D off the
-decoder itself, by decoding an identity code table, and check C @ D = I.
+decoder itself, by decoding an identity code table, and check C @ D = I
+and that D is channel_inverse of the very table the sampler draws from.
 """
 
 import math
@@ -16,7 +17,9 @@ from kvldp.harness import DEFAULT_EPSILON_GRID, MECHANISMS
 from kvldp.mechanisms import (
     PAYLOADS,
     PROTOCOLS,
+    channel_inverse,
     code_table,
+    kvoh_bit_channel,
     tally_f2m,
     tally_kvoh,
     tally_ternary,
@@ -80,6 +83,25 @@ def test_linear_decoder_inverts_its_channel(name):
         decoder = entry.estimate(np.eye(size), epsilon)
         product = entry.channel(epsilon, 1.0) @ decoder
         assert np.abs(product - np.eye(3)).max() < 1e-12, (name, epsilon)
+
+
+@pytest.mark.parametrize("name", LINEAR)
+def test_linear_decoder_is_the_inverse_of_the_sampled_channel(name):
+    # Bit for bit, not to a tolerance: a separate formula passes the check above too.
+    entry = PROTOCOLS[name]
+    payloads = PAYLOADS[entry.mechanism].array
+    for epsilon in DEFAULT_EPSILON_GRID:
+        channel = entry.channel(epsilon, 1.0)
+        if name == "kvoh":
+            # The sampled table flips each bit of the one-hot pattern by kvoh_bit_channel.
+            bit = kvoh_bit_channel(epsilon)
+            assert np.array_equal(channel, bit[np.eye(3, dtype=int)[:, None], payloads].prod(axis=2))
+            per_bit = channel_inverse(bit)
+            expected = (per_bit[1, 1] - per_bit[0, 1]) * payloads + per_bit[0, 1]
+        else:
+            expected = channel_inverse(channel)
+        decoder = entry.estimate(np.eye(len(payloads)), epsilon)
+        assert decoder.tobytes() == expected.tobytes(), (name, epsilon)
 
 
 def test_only_the_linear_decoders_have_an_estimate():
