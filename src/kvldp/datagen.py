@@ -7,6 +7,7 @@ the exact ground-truth statistics one nan-aware reduction away.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -55,6 +56,15 @@ class GroundTruth:
     mean: np.ndarray
 
 
+@contextlib.contextmanager
+def _fits_in_memory(what: str):
+    """CapacityError where numpy refuses to allocate what."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
+        raise CapacityError(f"{what} does not fit in memory") from exc
+
+
 def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     """Draw the user/key presence matrix and jittered values around the targets.
 
@@ -68,7 +78,7 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     mean_targets = np.asarray(mean_targets, dtype=np.float64)
     d = len(freq_targets)
     half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
-    try:
+    with _fits_in_memory(f"n x d = {n} x {d}"):
         # Presence is drawn in row blocks into one bool matrix: the draws are
         # those of one (n, d) draw, without its n x d float temporary.
         present = np.empty((n, d), dtype=bool)
@@ -80,8 +90,6 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
         # process's peak memory.  The arithmetic, and so every value, is
         # that of np.where(present, mean + uniform * half_width, nan).
         values = rng.uniform(-1.0, 1.0, size=(n, d))
-    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
-        raise CapacityError(f"n x d = {n} x {d} does not fit in memory") from exc
     values *= half_width[None, :]
     values += mean_targets[None, :]
     # NaN is filled block by block, so the inverse mask stays block-sized.
@@ -105,15 +113,16 @@ def gen_synthetic(dist: str, d: int, n: int, seed: int, value_spread: float = 0.
     f_k ~ Uniform(0.05, 0.95) and m_k ~ Uniform(-0.9, 0.9).
     """
     _check_sizes(d, n)
-    rng = RandomSource(seed).generator()
-    if dist == "gaussian":
-        freq_targets = np.clip(rng.normal(0.5, 0.15, size=d), 0.05, 0.95)
-        mean_targets = np.clip(rng.normal(0.0, 0.4, size=d), -0.9, 0.9)
-    elif dist == "uniform":
-        freq_targets = rng.uniform(0.05, 0.95, size=d)
-        mean_targets = rng.uniform(-0.9, 0.9, size=d)
-    else:
+    if dist not in ("gaussian", "uniform"):
         raise DomainError(f"unknown distribution {dist!r}; expected 'gaussian' or 'uniform'")
+    rng = RandomSource(seed).generator()
+    with _fits_in_memory(f"d = {d} keys"):
+        if dist == "gaussian":
+            freq_targets = np.clip(rng.normal(0.5, 0.15, size=d), 0.05, 0.95)
+            mean_targets = np.clip(rng.normal(0.0, 0.4, size=d), -0.9, 0.9)
+        else:
+            freq_targets = rng.uniform(0.05, 0.95, size=d)
+            mean_targets = rng.uniform(-0.9, 0.9, size=d)
     values = _materialize(freq_targets, mean_targets, n, rng, value_spread)
     provenance = {"generator": "gen_synthetic", "dist": dist, "d": int(d), "n": int(n),
                   "seed": int(seed), "value_spread": value_spread}
@@ -129,8 +138,9 @@ def gen_regime(frequency_regime: str, mean_regime: str, d: int, n: int, seed: in
     if mean_regime not in MEAN_REGIMES:
         raise DomainError(f"unknown mean regime {mean_regime!r}; choose from {sorted(MEAN_REGIMES)}")
     rng = RandomSource(seed).generator()
-    freq_targets = np.full(d, FREQUENCY_REGIMES[frequency_regime])
-    mean_targets = np.full(d, MEAN_REGIMES[mean_regime])
+    with _fits_in_memory(f"d = {d} keys"):
+        freq_targets = np.full(d, FREQUENCY_REGIMES[frequency_regime])
+        mean_targets = np.full(d, MEAN_REGIMES[mean_regime])
     values = _materialize(freq_targets, mean_targets, n, rng, value_spread)
     provenance = {"generator": "gen_regime", "frequency_regime": frequency_regime,
                   "mean_regime": mean_regime, "d": int(d), "n": int(n), "seed": int(seed),
@@ -432,11 +442,8 @@ def load_dataset(path) -> Dataset:
             if not first.startswith(_DATASET_MAGIC):
                 raise DomainError(f"{path}: not a kvldp dataset file")
             header = _read_header(path, first[len(_DATASET_MAGIC):])
-            try:
+            with _fits_in_memory(f"{path}: line 1: header n x d = {header['n']} x {header['d']}"):
                 values = np.full((header["n"], header["d"]), np.nan)
-            except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
-                raise CapacityError(f"{path}: line 1: header n x d = {header['n']} x {header['d']} "
-                                    "does not fit in memory") from exc
             lineno = 2
             while lines := list(itertools.islice(handle, _CHUNK_ROWS)):
                 _load_chunk(path, lines, lineno, values)

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,8 +70,8 @@ def _check_grid(epsilons, repetitions, workers) -> tuple:
     if not epsilons or any(not (math.isfinite(e) and e > 0) for e in epsilons):
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons}")
     for name, count in (("repetitions", repetitions), ("workers", workers)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 1 <= count <= sys.maxsize:
+            raise ConfigError(f"{name} must be an integer from 1 to {sys.maxsize}, got {count!r}")
     return epsilons
 
 

@@ -24,7 +24,8 @@ code-table tally, channel and decoder.  One sampler draws every mechanism's
 reports from that very table, the one worst_case_ratio audits, into one
 ReportBatch; the *_encode_population names call it with their channel.
 Decoders work on per-key tallies, one row per key, and read the inverse
-of the same table from channel_inverse, which holds the one conditioning rule.
+of the same table from channel_inverse, which holds the one conditioning rule;
+the error bounds read their calibration and epsilon floor off that inverse too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import enum
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -325,11 +327,6 @@ def tally_reports(reports: Sequence[Report], d: int):
 # ---------------------------------------------------------------------------
 
 
-def _require_conditioned(value: float, what: str):
-    if value < _MIN_CONDITIONING:
-        raise IllConditionedError(f"{what} = {value:.3e} is below {_MIN_CONDITIONING:g}; epsilon too small")
-
-
 def _bit_estimate(ones, totals, channel: np.ndarray) -> np.ndarray:
     """True 1 bits behind ones set bits of totals, each bit sent through a (2, 2) channel with D = its inverse.
 
@@ -438,26 +435,26 @@ def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_valu
 BOUND_VACUOUS = math.inf
 
 
-# kvue's calibration factor is (e^eps + 2) / (e^eps - 1) and kvoh's
-# (e^{eps/2} + 1) / (e^{eps/2} - 1): both (1 + a w) / (1 - w) with
-# w = e^{-eps * scale}, keyed to (a, scale).
-_UNARY_FACTORS = {Mechanism.KVUE: (2.0, 1.0), Mechanism.KVOH: (1.0, 0.5)}
+def _bound_terms(mechanism, epsilon: float, n: int, delta: float, f_k: float = 1.0):
+    """(Mechanism, log(2/delta), spread) of a bound; DomainError on a bad input.
 
-
-def _check_bound_inputs(mechanism, epsilon: float, n: int, delta: float, f_k: float = 1.0):
-    """(Mechanism, log(2/delta)); DomainError on a bad input, IllConditionedError where the factors blow up."""
+    The spread is the widest column range of channel_inverse(T), T the table the mechanism's decoder
+    inverts: the most one report can move a calibrated count, 1/(p - q) for these randomized-response
+    tables.  channel_inverse's conditioning rule is the bound's epsilon floor, as it is the decoder's.
+    """
     mechanism = Mechanism(mechanism)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
-    # channel_inverse's rule on rr_channel(eps), whose smallest singular value is tanh(eps/2): about eps = 2e-12.
-    _require_conditioned(math.tanh(epsilon / 2.0), "tanh(eps/2)")
-    if not n >= 1:
-        raise DomainError(f"n must be at least 1, got {n!r}")
+    if not 1 <= n <= sys.float_info.max:
+        raise DomainError(f"n must be at least 1 and a finite float, got {n!r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if not 0.0 < f_k <= 1.0:
         raise DomainError(f"f_k must lie in (0, 1], got {f_k!r}")
-    return mechanism, math.log(2.0 / delta)
+    # f2m's bound takes the budget of one channel, key or value.
+    tables = {Mechanism.KVUE: kvue_channel, Mechanism.KVOH: kvoh_bit_channel, Mechanism.F2M: rr_channel}
+    if mechanism not in tables:
+        raise DomainError(f"no closed-form bound for mechanism {mechanism.value!r}")
+    spread = float(np.ptp(channel_inverse(tables[mechanism](epsilon)), axis=0).max())
+    return mechanism, math.log(2.0 / delta), spread
 
 
 def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float, f_k: float):
@@ -470,33 +467,23 @@ def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float
     budget of the individual channel (key or value), matching the
     single-epsilon form of its derivation.
     """
-    mechanism, log_term = _check_bound_inputs(mechanism, epsilon, n, delta, f_k)
-    root_2l = math.sqrt(2.0 * log_term)
-    if mechanism in _UNARY_FACTORS:
-        a, scale = _UNARY_FACTORS[mechanism]
-        w = math.exp(-epsilon * scale)
-        freq_bound = (1.0 + a * w) / (1.0 - w) * math.sqrt(2.0 / n * log_term)
-        denom = (1.0 - w) * f_k * math.sqrt(n) - (1.0 + a * w) * root_2l
-        mean_bound = (1.0 + a * w) * root_2l / denom if denom > 0 else BOUND_VACUOUS
-        return freq_bound, mean_bound
-    if mechanism is Mechanism.F2M:
-        factor = 1.0 / math.tanh(epsilon / 2.0)  # (e^eps + 1) / (e^eps - 1)
-        freq_bound = factor * math.sqrt(log_term / (2.0 * n))
-        # 2 (f+1) (e^eps+1) sqrt(L) / (sqrt(2n) f^2 (e^eps-1) - f (e^eps-1) sqrt(L))
+    mechanism, log_term, spread = _bound_terms(mechanism, epsilon, n, delta, f_k)
+    if mechanism is Mechanism.F2M:  # mean: 2 (f+1) s sqrt(L) / (f (sqrt(2n) f - sqrt(L)))
         denom = f_k * (math.sqrt(2.0 * n) * f_k - math.sqrt(log_term))
-        mean_bound = 2.0 * (f_k + 1.0) * factor * math.sqrt(log_term) / denom if denom > 0 else BOUND_VACUOUS
-        return freq_bound, mean_bound
-    raise DomainError(f"no closed-form bound for mechanism {mechanism.value!r}")
+        mean_bound = 2.0 * (f_k + 1.0) * spread * math.sqrt(log_term) / denom if denom > 0 else BOUND_VACUOUS
+        return spread * math.sqrt(log_term / (2.0 * n)), mean_bound
+    root_2l = math.sqrt(2.0 * log_term)
+    freq_bound = spread * math.sqrt(2.0 / n * log_term)
+    denom = f_k * math.sqrt(n) - spread * root_2l
+    return freq_bound, (spread * root_2l / denom if denom > 0 else BOUND_VACUOUS)
 
 
 def count_deviation_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float) -> float:
     """Bound on |N_i* - N_i| holding with probability at least 1 - delta."""
-    mechanism, log_term = _check_bound_inputs(mechanism, epsilon, n, delta)
-    if mechanism not in _UNARY_FACTORS:
+    mechanism, log_term, spread = _bound_terms(mechanism, epsilon, n, delta)
+    if mechanism is Mechanism.F2M:
         raise DomainError(f"no count deviation bound for mechanism {mechanism.value!r}")
-    a, scale = _UNARY_FACTORS[mechanism]
-    w = math.exp(-epsilon * scale)
-    return (1.0 + a * w) / (1.0 - w) * math.sqrt(n / 2.0 * log_term)
+    return spread * math.sqrt(n / 2.0 * log_term)
 
 
 def report_size_bits(mechanism: Mechanism, d: int) -> float:
@@ -629,7 +616,7 @@ def kvue_channel(epsilon: float) -> np.ndarray:
 
 def kvoh_bit_channel(epsilon: float) -> np.ndarray:
     """(2, 2) per-bit table of the kvoh/ioh bit flip at budget eps/2."""
-    return rr_channel(float(epsilon) / 2.0)
+    return rr_channel(check_epsilon(epsilon) / 2.0)
 
 
 def kvoh_channel(epsilon: float) -> np.ndarray:
@@ -645,7 +632,9 @@ def channel_inverse(table: np.ndarray) -> np.ndarray:
     inverting: at a vanishing epsilon the rows are equal and the table has no inverse.
     """
     table = np.asarray(table, dtype=np.float64)
-    _require_conditioned(np.linalg.svd(table, compute_uv=False).min(), "the channel's smallest singular value")
+    if (smallest := np.linalg.svd(table, compute_uv=False).min()) < _MIN_CONDITIONING:
+        raise IllConditionedError(f"the channel's smallest singular value = {smallest:.3e} is below "
+                                  f"{_MIN_CONDITIONING:g}; epsilon too small")
     return np.linalg.inv(table)
 
 

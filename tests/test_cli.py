@@ -277,7 +277,8 @@ def test_conditional_agg_out_draws_each_cell_once(tmp_path, monkeypatch):
 
 def test_bounds_at_a_vanishing_epsilon_is_a_domain_error(capsys):
     # Used to end in a ZeroDivisionError traceback with exit 1.
-    for mechanism, epsilon in (("kvue", "1e-17"), ("kvoh", "1e-16"), ("f2m", "5e-324")):
+    # kvoh at 3e-12, below its decoder's floor, used to print a bound of 1.14523e+11 and exit 0.
+    for mechanism, epsilon in (("kvue", "1e-17"), ("kvoh", "1e-16"), ("f2m", "5e-324"), ("kvoh", "3e-12")):
         assert main(["bounds", "--mechanisms", mechanism, "--epsilon", epsilon]) == 3
         err = capsys.readouterr().err
         assert "error[domain]" in err and "epsilon too small" in err
@@ -417,6 +418,28 @@ def test_generate_past_memory_is_a_capacity_error(tmp_path, capsys):
     assert main(["generate", "--dist", "gaussian", "--d", "100", "--n", "10000000000000",
                  "--out", str(out)]) == 3
     assert "error[domain]: n x d = 10000000000000 x 100 does not fit in memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["run", "--dataset", "gaussian", "--d", "3", "--n", "50", "--reps", _HUGE], 2, "repetitions must be an integer"),
+    (["conditional", "--dims", "2", "--n", "50", "--reps", _HUGE], 2, "repetitions must be an integer"),
+    (["default-study", "--dataset", "gaussian", "--d", "3", "--n", "50", "--reps", _HUGE], 2,
+     "repetitions must be an integer"),
+    (["generate", "--dist", "gaussian", "--d", _HUGE, "--n", "5"], 3, "keys does not fit in memory"),
+    (["generate", "--dist", "regime", "--freq-regime", "high", "--mean-regime", "low", "--d", str(10 ** 16),
+      "--n", "5"], 3, "keys does not fit in memory"),
+    (["bounds", "--n", _HUGE], 3, "n must be at least 1 and a finite float"),
+], ids=["run-reps", "conditional-reps", "default-study-reps", "generate-gaussian-d", "generate-regime-d", "bounds-n"])
+def test_an_oversize_integer_option_ends_in_a_documented_exit_code(tmp_path, capsys, argv, code, message):
+    # Each used to end in a traceback with exit 1: an OverflowError from the grid's range or from 2.0 / n,
+    # and the generators' key targets escaping the n x d matrix's capacity guard.
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -572,8 +595,9 @@ def test_config_file_fuzz_ends_in_resolved_options_or_a_config_error(tmp_path_fa
 _NUMBERS = ["0", "-1", "nan", "inf", "1e300", ",", "x"]
 _COUNTS = (["1", "2"], ["0", "-1", "x"])
 _FUZZ_VALUES = {
-    "n": (["1", "2", "40"], ["0", "-3", "1e3", "x"]), "d": (["1", "3", "12"], ["0", "-1", "2,3", "x"]),
-    "reps": (["1"], ["0", "-1", "x"]), "workers": (["1", "2"], ["0", "x"]),
+    "n": (["1", "2", "40"], ["0", "-3", "1e3", "x", _HUGE]),
+    "d": (["1", "3", "12"], ["0", "-1", "2,3", "x", _HUGE]),
+    "reps": (["1"], ["0", "-1", "x", _HUGE]), "workers": (["1", "2"], ["0", "x"]),
     "seed": (["0", "7"], ["-1", "18446744073709551616", "x"]),
     "epsilon": (["0.5", "4", "1,4"], _NUMBERS), "vbar": (["0.5"], [*_NUMBERS, "0.5,1"]),
     "delta": (["0.05"], _NUMBERS), "f": (["0.5"], _NUMBERS), "spread": (["0.1", "0"], _NUMBERS),

@@ -124,6 +124,16 @@ def test_generators_raise_capacity_error_when_numpy_refuses_the_matrix(n):
         gen_regime("high", "low", 100, n, seed=0)
 
 
+@pytest.mark.parametrize("d", [10 ** 16, 10 ** 400], ids=["1e16", "1e400"])
+def test_generators_raise_capacity_error_when_numpy_refuses_the_key_targets(d):
+    # 8e16 bytes of targets exceed any address space (MemoryError), and 10^400 numpy's largest
+    # dimension (ValueError).  Both escaped as tracebacks: the targets are drawn before the matrix's guard.
+    for generate in (lambda: gen_synthetic("gaussian", d, 5, seed=0), lambda: gen_synthetic("uniform", d, 5, seed=0),
+                     lambda: gen_regime("high", "low", d, 5, seed=0)):
+        with pytest.raises(CapacityError, match=f"d = {d} keys does not fit in memory"):
+            generate()
+
+
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------

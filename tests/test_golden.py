@@ -3,8 +3,8 @@
 The table below holds the sha256 of each output of a small end-to-end
 session: two generated datasets, a sweep with its summary, per-key rows
 and the five wire traces, the packed bytes of every trace at three key
-domains, a conditional run with its saved aggregate, and a default-value
-study with its summary.  A refactor must
+domains, a conditional run with its saved aggregate, a default-value
+study with its summary, and the `bounds` and `cost` tables.  A refactor must
 leave every hash where it is.  A change that moves bytes on purpose
 regenerates only the affected entries (run this file as a script to print
 the current table) and says why.
@@ -33,7 +33,9 @@ PACK_DIMS = (20, 37, 65)
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "aggregate.txt": "c3e27059ae5549dc6686a5ca12176ab2d8585644f2371a3df0e0656b39731d64",
+    "bounds.csv": "263c95ab2ceb2b77f39f9d52e07b2b290905fc9686f81a080f6b77707795d355",
     "conditional.csv": "bf7456cdded2075075215c25d1c7963f754a61d3d920ac96f083cf2bd5d0abd3",
+    "cost.csv": "8ebfaa23dff167e6c71aca5247d7b7c36b0c7e6b04bea2e77b610b1c459fdd69",
     "gaussian.csv": "2aa8802dabef4bec10cd71a3007aa3e56992f939616623a726f3e5489e1c3d3b",
     "packed/f2m.d20": "8dd336c40af2792073381955dc35f6230e8beb5de9bf9192fef6e3b76084871a",
     "packed/f2m.d37": "b9adf69ed959f76416618099eabb517f9fe2a66bce35dbb1929efbbe8eb0192c",
@@ -91,8 +93,11 @@ def golden_outputs(workdir) -> dict:
           "--out", path("conditional.csv"), "--agg-out", path("aggregate.txt")])
     _cli(["default-study", "--dataset", path("regime.csv"), "--vbar=-1,0,1", "--epsilon", "0.5,1",
           "--reps", 2, "--seed", SEED, "--out", path("study.csv")])
+    _cli(["bounds", "--out", path("bounds.csv")])
+    _cli(["cost", "--d", ",".join(map(str, PACK_DIMS)), "--out", path("cost.csv")])
     names = ["gaussian.csv", "regime.csv", "run.csv", "run.summary.csv", "run.perkey.csv",
-             "conditional.csv", "aggregate.txt", "study.csv", "study.summary.csv"] + [f"traces/{name}.txt" for name in TRACES]
+             "conditional.csv", "aggregate.txt", "study.csv", "study.summary.csv", "bounds.csv", "cost.csv"]
+    names += [f"traces/{name}.txt" for name in TRACES]
     hashes = {name: _sha256(_read(path(name))) for name in names}
     for name in TRACES:
         with open(path(f"traces/{name}.txt")) as handle:

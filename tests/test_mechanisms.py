@@ -582,13 +582,35 @@ def test_bounds_at_a_vanishing_epsilon_are_ill_conditioned(mechanism, epsilon):
     if mechanism is not Mechanism.F2M:
         with pytest.raises(IllConditionedError, match="epsilon too small"):
             count_deviation_bound(mechanism, epsilon, 1000, 0.05)
-    assert theoretical_bound(mechanism, 2e-12, 1000, 0.05, 0.5)[0] < math.inf
+
+
+def _refuses(call, *args) -> bool:
+    try:
+        call(*args)
+    except IllConditionedError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.KVUE, Mechanism.KVOH, Mechanism.F2M])
+def test_a_bound_refuses_an_epsilon_exactly_where_its_decoder_does(mechanism):
+    # A bound and its decoder invert one table, so they share one floor: about 3e-12 for kvue, 4e-12 for kvoh
+    # and 2e-12 per channel for f2m, whose bound takes one channel's budget and its decoder the total of two.
+    decode, scale = _decode_at(mechanism.value), 2.0 if mechanism is Mechanism.F2M else 1.0
+    refusals = []
+    for epsilon in np.logspace(-13, -10, 61):
+        refusals.append(_refuses(theoretical_bound, mechanism, epsilon, 1000, 0.05, 0.5))
+        assert refusals[-1] == _refuses(decode, scale * epsilon), epsilon
+        if mechanism is not Mechanism.F2M:
+            assert refusals[-1] == _refuses(count_deviation_bound, mechanism, epsilon, 1000, 0.05), epsilon
+    assert refusals[0] and not refusals[-1]  # the grid straddles the floor
 
 
 @pytest.mark.parametrize("epsilon, n, delta, match", [
     (1.0, 1000, 2.0, "delta"), (1.0, 1000, 0.0, "delta"), (1.0, 1000, math.nan, "delta"),
     (-1.0, 1000, 0.05, "epsilon"), (math.inf, 1000, 0.05, "epsilon"), (math.nan, 1000, 0.05, "epsilon"),
     (1.0, -5, 0.05, "n must"), (1.0, 0, 0.05, "n must"), (1.0, math.nan, 0.05, "n must"),
+    (1.0, math.inf, 0.05, "n must"), pytest.param(1.0, 10 ** 400, 0.05, "n must", id="1.0-1e400-0.05-n must"),
 ])
 def test_count_deviation_bound_checks_its_inputs(epsilon, n, delta, match):
     # delta=2 used to return 0.0, epsilon=-1 a negative bound and n=-5 a
