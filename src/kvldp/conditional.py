@@ -20,11 +20,11 @@ classes.  Over an atom A the column sums add up to exactly
 Binomial(c_A, p) + Binomial(n|A| - c_A, 1 - p), which Lumping.draw draws
 in O(n + atoms) with every answer's exact joint law; the full 3^d vector
 is the partition into single positions.  _class_index writes the
-digit-set rule once: QueryPlan sums its views into answers, the two
-operators are one-query plans, and the index sets read it on the
-identity partition.  This module keeps what is specific to full records:
-the record index, the bit-sum simulation, the index algebra and
-persistence.
+digit-set rule once: QueryPlan sums its views into answers through
+mechanisms.clipped_ratio, the two operators are one-query plans, and the
+index sets read it on the identity partition.  This module keeps what is
+specific to full records: the record index, the bit-sum simulation, the
+index algebra and persistence.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .core import (
     ensure_generator,
     row_blocks,
 )
-from .mechanisms import kvoh_bit_channel, kvoh_decode_array
+from .mechanisms import DEGENERACY_THRESHOLD, clipped_ratio, kvoh_bit_channel, kvoh_decode_array
 
 # 3^12 = 531,441 positions; beyond that the dense vector stops being a
 # reasonable in-memory object.
@@ -165,6 +165,9 @@ class AggregateVector:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", _class_maps(self.classes, self.d))
+        if np.shape(self.values) != (atoms := math.prod(max(m) + 1 for m in self.classes),):
+            raise DomainError(f"an aggregate on partition {self.classes} is a vector of {atoms} values, "
+                              f"not of shape {np.shape(self.values)}")
 
 
 def _atom_sizes(classes):
@@ -173,16 +176,14 @@ def _atom_sizes(classes):
     return 1 if all(len(c) == 3 for c in per_key) else functools.reduce(np.multiply.outer, per_key).ravel()
 
 
-def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float,
-                            classes=None) -> AggregateVector:
-    """Rescale summed bits to unbiased per-atom counts with kvoh's calibration.
+def aggregate_from_bit_sums(bit_sums: np.ndarray, n_users: int, d: int, epsilon: float) -> AggregateVector:
+    """Rescale the summed bits of the 3^d positions to unbiased per-position counts with kvoh's calibration.
 
-    An atom of |A| positions sums n_users * |A| bits.  Entries may come out
-    negative and are deliberately left unclipped so that the counting
-    operators stay linear and marginally consistent.
+    Each position sums n_users bits.  Entries may come out negative and are
+    deliberately left unclipped so that the counting operators stay linear
+    and marginally consistent.
     """
-    classes = _class_maps(classes, int(d))
-    return _calibrated(bit_sums, int(n_users) * _atom_sizes(classes), n_users, d, epsilon, classes)
+    return _calibrated(bit_sums, int(n_users), n_users, d, epsilon, None)
 
 
 def _calibrated(bit_sums, bits, n_users, d, epsilon, classes) -> AggregateVector:
@@ -357,19 +358,10 @@ def frequency_count(agg: AggregateVector, alpha, beta) -> float:
     return float(agg.values.reshape(tuple(max(m) + 1 for m in agg.classes))[index].sum())
 
 
-# A calibrated count below one user carries no signal; ratios against it
-# are reported as undefined (NaN) rather than divided out.  The small slack
-# keeps a noiseless count of exactly one user (which lands a calibration
+# A conditional answer is undefined below DEGENERACY_THRESHOLD less a small
+# slack, which keeps a noiseless count of exactly one user (a calibration
 # residual of order N/e^{eps/2} below 1.0) on the defined side.
-DEGENERACY_THRESHOLD = 1.0
 _THRESHOLD_SLACK = 1e-6
-
-
-def _clipped_ratio(top: float, bottom: float, low: float) -> float:
-    """top / bottom clipped to [low, 1] as np.clip clips it; NaN when bottom counts fewer than one user."""
-    if bottom < DEGENERACY_THRESHOLD - _THRESHOLD_SLACK:
-        return math.nan
-    return min(max(top / bottom, low), 1.0)
 
 
 class QueryPlan:
@@ -389,12 +381,12 @@ class QueryPlan:
         if agg.classes != self.classes:
             raise DomainError(f"the plan reads partition {self.classes}, not {agg.classes}")
         view = agg.values.reshape(self.shape)
-        answers = []
-        for indices in self.indices:
-            denominator, numerator, positive, negative = (float(view[index].sum()) for index in indices)
-            answers.append((_clipped_ratio(numerator, denominator, 0.0),
-                            _clipped_ratio(positive - negative, positive + negative, -1.0)))  # holders: {0, 2}
-        return answers
+        sums = np.array([view[index].sum() for indices in self.indices for index in indices], dtype=np.float64)
+        denominator, numerator, positive, negative = sums.reshape(-1, 4).T
+        holders, floor = positive + negative, DEGENERACY_THRESHOLD - _THRESHOLD_SLACK  # holders: digits {0, 2}
+        frequency = clipped_ratio(numerator, denominator, 0.0, denominator >= floor)
+        mean = clipped_ratio(positive - negative, holders, -1.0, holders >= floor)
+        return list(zip(frequency.tolist(), mean.tolist()))
 
 
 def conditional_frequency(agg: AggregateVector, k: int, cond: Condition) -> float:

@@ -26,6 +26,7 @@ ReportBatch; the *_encode_population names call it with their channel.
 Decoders work on per-key tallies, one row per key, and read the inverse
 of the same table from channel_inverse, which holds the one conditioning rule;
 the error bounds read their calibration and epsilon floor off that inverse too.
+Every frequency and mean, conditional answers included, leaves through clipped_ratio.
 """
 
 from __future__ import annotations
@@ -351,11 +352,8 @@ def privkv_decode_original_array(counts: np.ndarray, budget: PrivacyBudget):
     held = _bit_estimate(n_signed, m_total, rr_channel(budget.epsilon_key))
     signs = _bit_estimate(counts[:, [POS, NEG]], n_signed[:, None], rr_channel(budget.epsilon_value))
     n1, n2 = np.clip(signs, 0.0, n_signed[:, None]).T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frequency = np.clip(np.where(m_total > 0, held / m_total, np.nan), 0.0, 1.0)
-        defined = n_signed >= 1
-        mean = np.where(defined, (n1 - n2) / np.where(n_signed > 0, n_signed, 1.0), np.nan)
-    return frequency, mean, defined
+    defined = n_signed >= DEGENERACY_THRESHOLD
+    return clipped_ratio(held, m_total, 0.0, m_total > 0), clipped_ratio(n1 - n2, n_signed, -1.0, defined), defined
 
 
 def privkv_decode_improved_array(counts: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
@@ -386,23 +384,30 @@ def kvoh_decode_array(bit_sums: np.ndarray, n_reports: np.ndarray, epsilon: floa
     return _bit_estimate(bit_sums, n_reports[..., None], kvoh_bit_channel(epsilon))
 
 
-def stats_from_estimates(estimates: np.ndarray, n_reports: np.ndarray):
-    """Clip state estimates and form (frequency, mean, mean_defined) arrays.
+# A calibrated count below one user carries no signal: a ratio against it is
+# undefined (NaN), not divided out.  Each clipped_ratio caller applies its own floor.
+DEGENERACY_THRESHOLD = 1.0
 
-    Clips the signed-state estimates to [0, N] first, then builds the
-    frequency and mean; a clipped support below one report leaves the mean
-    undefined instead of dividing by a near-zero frequency.
+
+def clipped_ratio(top, bottom, low: float, defined) -> np.ndarray:
+    """top / bottom clipped to [low, 1] where defined holds, NaN elsewhere; the one clip of every estimate."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(defined, np.clip(np.divide(top, bottom), low, 1.0), np.nan)
+
+
+def stats_from_estimates(estimates: np.ndarray, n_reports: np.ndarray):
+    """Clip the signed-state estimates to [0, N], then form (frequency, mean, mean_defined) arrays.
+
+    A clipped support below one report leaves the mean undefined.
     """
     estimates = np.asarray(estimates, dtype=np.float64)
     n_reports = np.asarray(n_reports, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n_pos = np.clip(estimates[..., POS], 0.0, n_reports)
-        n_neg = np.clip(estimates[..., NEG], 0.0, n_reports)
-        support = n_pos + n_neg
-        frequency = np.where(n_reports > 0, np.clip(support / np.where(n_reports > 0, n_reports, 1.0), 0.0, 1.0), np.nan)
-        defined = support >= 1.0
-        mean = np.where(defined, np.clip((n_pos - n_neg) / np.where(support > 0, support, 1.0), -1.0, 1.0), np.nan)
-    return frequency, mean, defined
+    n_pos = np.clip(estimates[..., POS], 0.0, n_reports)
+    n_neg = np.clip(estimates[..., NEG], 0.0, n_reports)
+    support = n_pos + n_neg
+    defined = support >= DEGENERACY_THRESHOLD
+    frequency = clipped_ratio(support, n_reports, 0.0, n_reports > 0)
+    return frequency, clipped_ratio(n_pos - n_neg, support, -1.0, defined), defined
 
 
 def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_value: float):
@@ -416,16 +421,10 @@ def f2m_decode_array(ones, totals, pos, neg, budget: PrivacyBudget, default_valu
     signed = np.add(pos, neg, dtype=np.float64)
     held = _bit_estimate(ones, totals, rr_channel(budget.epsilon_key))
     plus = _bit_estimate(pos, signed, rr_channel(budget.epsilon_value))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frequency = np.clip(np.where(totals > 0, held / totals, np.nan), 0.0, 1.0)
-        mean_all = np.where(signed > 0, (2.0 * plus - signed) / np.where(signed > 0, signed, 1.0), np.nan)
-        defined = (totals > 0) & (frequency >= 1.0 / np.where(totals > 0, totals, 1.0))
-        mean = np.where(
-            defined,
-            np.clip((mean_all - (1.0 - frequency) * default_value) / np.where(defined, frequency, 1.0), -1.0, 1.0),
-            np.nan,
-        )
-    return frequency, mean, defined
+    frequency = clipped_ratio(held, totals, 0.0, totals > 0)
+    mean_all = np.where(signed > 0, (2.0 * plus - signed) / np.where(signed > 0, signed, 1.0), np.nan)
+    defined = (totals > 0) & (frequency >= 1.0 / np.where(totals > 0, totals, 1.0))
+    return frequency, clipped_ratio(mean_all - (1.0 - frequency) * default_value, frequency, -1.0, defined), defined
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def _bound_terms(mechanism, epsilon: float, n: int, delta: float, f_k: float = 1
     if mechanism not in tables:
         raise DomainError(f"no closed-form bound for mechanism {mechanism.value!r}")
     spread = float(np.ptp(channel_inverse(tables[mechanism](epsilon)), axis=0).max())
-    return mechanism, math.log(2.0 / delta), spread
+    return mechanism, math.log(2.0) - math.log(delta), spread  # 2 / delta overflows for a subnormal delta
 
 
 def theoretical_bound(mechanism: Mechanism, epsilon: float, n: int, delta: float, f_k: float):

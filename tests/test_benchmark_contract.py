@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from kvldp import gen_regime, gen_synthetic, true_stats
+from kvldp import ExperimentConfig, gen_regime, gen_synthetic, true_stats
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SEED = 1
@@ -46,6 +46,21 @@ def test_records_io_unit_passes_its_gates(bench, tmp_path, monkeypatch):
     out = {}
     bench.layers.records_layers(records, str(tmp_path), SEED, tracer, out)
     assert out["harness.trace_s"] > 0
+
+
+def test_protocol_sweep_unit_passes_its_gates(bench, tmp_path, monkeypatch):
+    # Each unit ends in the spot check that re-runs one of its cells with run_single.
+    monkeypatch.setattr(bench.workloads, "PROTOCOL_N", 20_000)
+    tracer = bench.spans.Tracer(True)
+    sweep = bench.workloads.ProtocolSweep(SEED, str(tmp_path))
+    sweep.setup(tracer)
+    totals = bench.workloads.Totals()
+    for i in range(2):
+        sweep.unit(i, tracer, totals)
+    assert totals.gates == []
+    assert totals.failed == 0
+    grid = ExperimentConfig(repetitions=bench.workloads.PROTOCOL_REPS)
+    assert totals.attempted == 2 * len(grid.mechanisms) * len(grid.epsilons) * grid.repetitions
 
 
 def test_conditional_sweep_unit_passes_its_gates(bench, monkeypatch):

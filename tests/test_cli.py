@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving kvldp.cli.main with in-process argv."""
 
 import argparse
+import math
 import subprocess
 import sys
 
@@ -282,6 +283,19 @@ def test_bounds_at_a_vanishing_epsilon_is_a_domain_error(capsys):
         assert main(["bounds", "--mechanisms", mechanism, "--epsilon", epsilon]) == 3
         err = capsys.readouterr().err
         assert "error[domain]" in err and "epsilon too small" in err
+
+
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+def test_bounds_stay_finite_at_a_subnormal_delta(tmp_path, delta):
+    # Used to print freq_bound inf and a vacuous mean bound, and exit 0.
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--mechanisms", "kvue,kvoh,f2m", "--epsilon", "1", "--n", "1000000",
+                 "--delta", delta, "--out", str(out)]) == 0
+    _, rows = parse_table(out)
+    assert [row["mechanism"] for row in rows] == ["kvue", "kvoh", "f2m"]
+    for row in rows:
+        assert row["mean_bound"] != "vacuous", row
+        assert math.isfinite(float(row["freq_bound"])) and math.isfinite(float(row["mean_bound"])), row
 
 
 @pytest.mark.parametrize("command", [["bounds", "--epsilon", "1"], ["cost", "--d", "10"]])

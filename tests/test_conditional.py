@@ -12,7 +12,6 @@ from kvldp.conditional import (
     AggregateVector,
     Condition,
     QueryPlan,
-    _clipped_ratio,
     aggregate_from_bit_sums,
     conditional_frequency,
     conditional_mean,
@@ -28,6 +27,7 @@ from kvldp.conditional import (
 from kvldp.core import CapacityError, DomainError, RandomSource
 from kvldp.datagen import Dataset, gen_regime, true_conditional
 from kvldp.harness import run_conditional
+from kvldp.mechanisms import clipped_ratio
 
 # Three users over {Hamburger, Fries, Pepsi} with deterministic +-1 values:
 # user1 <1,1>,<0,0>,<1,-1>; user2 <1,-1>,<1,1>,<1,1>; user3 <0,0>,<1,-1>,<1,-1>.
@@ -319,13 +319,31 @@ def test_a_target_whose_digits_0_and_2_share_a_class_is_no_target():
     assert conditional_frequency(agg, 1, Condition.parse("k1=1", 2)) == pytest.approx(2 / 3)
 
 
+def test_an_aggregate_holds_one_value_per_atom():
+    # Eight values on d = 2 used to build an aggregate whose operators raised a bare ValueError
+    # (cannot reshape) and whose saved file load_aggregate refused.
+    with pytest.raises(DomainError, match=r"a vector of 9 values, not of shape \(8,\)"):
+        aggregate_from_bit_sums(np.full(8, 2), 3, 2, 1.0)
+    with pytest.raises(DomainError, match=r"a vector of 6 values, not of shape \(9,\)"):
+        AggregateVector(np.ones(9), 100, 2, 1.0, ((0, 1, 0), (0, 1, 2)))
+    with pytest.raises(DomainError, match=r"a vector of 3 values, not of shape \(3, 3\)"):
+        AggregateVector(np.ones((3, 3)), 100, 1, 1.0)
+    assert len(aggregate_from_bit_sums(np.full(9, 2), 3, 2, 1.0).values) == 9
+    assert len(AggregateVector(np.ones(6), 100, 2, 1.0, ((0, 1, 0), (0, 1, 2))).values) == 6
+
+
 @pytest.mark.parametrize("low", [0.0, -1.0])
 def test_clipped_ratio_clips_as_np_clip_does(low):
-    for x in (-0.0, 0.0, math.nan, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, math.inf, -math.inf):
-        got = _clipped_ratio(x, 1.0, low)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(np.clip(x, low, 1.0)).tobytes(), x
-    assert math.isnan(_clipped_ratio(1.0, 0.5, low))  # fewer than one user
+    xs = (-0.0, 0.0, math.nan, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, math.inf, -math.inf)
+    got = clipped_ratio(np.array(xs), 1.0, low, True)
+    assert got.dtype == np.float64 and got.shape == (len(xs),)
+    for x, y in zip(xs, got.tolist()):
+        assert type(y) is float
+        assert np.float64(y).tobytes() == np.float64(np.clip(x, low, 1.0)).tobytes(), x
+    # NaN exactly where the denominator counts fewer than one user, with no warning at a zero one.
+    bottom = np.array([0.0, 0.5, 2.0])
+    got = clipped_ratio(np.ones(3), bottom, low, bottom >= 1.0)
+    assert np.isnan(got[:2]).all() and got[2] == 0.5
 
 
 def test_conditional_boundary_all_plus_one():

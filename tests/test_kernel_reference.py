@@ -25,10 +25,15 @@ The tie tests build values whose discretization threshold (1 + v) / 2, or a
 budget whose inverse-CDF threshold, equals the uniform drawn for it
 exactly, so a strict comparison turned non-strict changes the output.
 
-The last section keeps the forms that the row-blocked draws, the strided
+A later section keeps the forms that the row-blocked draws, the strided
 query sums and the column-only oracles replaced: one-shot (n, d) draws, a
 gather by ascending product index, and an oracle over the whole presence
 matrix.
+
+The last section keeps the hand-written clip and degeneracy steps that
+clipped_ratio replaced: the decoders' np.where/np.clip post-steps and the
+scalar ratio QueryPlan.answers applied per query.  Decoder arrays and
+conditional answers must equal them byte for byte, NaN included.
 """
 
 import itertools
@@ -73,6 +78,8 @@ from kvldp.mechanisms import (
     PROTOCOLS,
     Mechanism,
     ReportBatch,
+    _bit_estimate,
+    _f2m_tally,
     f2m_encode_population,
     f2m_state_channel,
     kvoh_bit_channel,
@@ -83,6 +90,7 @@ from kvldp.mechanisms import (
     kvue_encode_population,
     lpp_channel,
     lpp_encode_population,
+    rr_channel,
     sample,
     tally_f2m,
     tally_kvoh,
@@ -277,7 +285,7 @@ def _generators(seed):
     return RandomSource(seed).generator(), RandomSource(seed).generator()
 
 
-def _assert_identical(got, want, g_got, g_want):
+def _assert_same_arrays(got, want):
     got = got if isinstance(got, tuple) else (got,)
     want = want if isinstance(want, tuple) else (want,)
     assert type(got) is type(want)
@@ -287,6 +295,10 @@ def _assert_identical(got, want, g_got, g_want):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def _assert_identical(got, want, g_got, g_want):
+    _assert_same_arrays(got, want)
     # Philox's state holds small arrays (counter, key, buffer); repr shows them whole.
     assert repr(g_got.bit_generator.state) == repr(g_want.bit_generator.state)
 
@@ -1039,3 +1051,146 @@ def test_answer_homogeneity_rejects_the_lumped_draw_at_another_budget_or_per_que
     assert any(statistic > _chi_square_critical(dof)
                for statistic, dof in _answer_homogeneity(queries, d, 3.0, budget, 160, repetitions, shared))
 
+
+
+# ---------------------------------------------------------------------------
+# Hand-written clips and the scalar conditional ratio
+# ---------------------------------------------------------------------------
+
+
+def _ref_stats_from_estimates(estimates, n_reports):
+    estimates = np.asarray(estimates, dtype=np.float64)
+    n_reports = np.asarray(n_reports, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n_pos = np.clip(estimates[..., POS], 0.0, n_reports)
+        n_neg = np.clip(estimates[..., NEG], 0.0, n_reports)
+        support = n_pos + n_neg
+        frequency = np.where(n_reports > 0, np.clip(support / np.where(n_reports > 0, n_reports, 1.0), 0.0, 1.0), np.nan)
+        defined = support >= 1.0
+        mean = np.where(defined, np.clip((n_pos - n_neg) / np.where(support > 0, support, 1.0), -1.0, 1.0), np.nan)
+    return frequency, mean, defined
+
+
+def _ref_privkv_decode_original(counts, budget):
+    counts = np.asarray(counts, dtype=np.float64)
+    m_total = counts.sum(axis=1)
+    n_signed = counts[:, POS] + counts[:, NEG]
+    held = _bit_estimate(n_signed, m_total, rr_channel(budget.epsilon_key))
+    signs = _bit_estimate(counts[:, [POS, NEG]], n_signed[:, None], rr_channel(budget.epsilon_value))
+    n1, n2 = np.clip(signs, 0.0, n_signed[:, None]).T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frequency = np.clip(np.where(m_total > 0, held / m_total, np.nan), 0.0, 1.0)
+        defined = n_signed >= 1
+        mean = np.where(defined, (n1 - n2) / np.where(n_signed > 0, n_signed, 1.0), np.nan)
+    return frequency, mean, defined
+
+
+def _ref_f2m_decode(ones, totals, pos, neg, budget, default_value):
+    totals = np.asarray(totals, dtype=np.float64)
+    signed = np.add(pos, neg, dtype=np.float64)
+    held = _bit_estimate(ones, totals, rr_channel(budget.epsilon_key))
+    plus = _bit_estimate(pos, signed, rr_channel(budget.epsilon_value))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frequency = np.clip(np.where(totals > 0, held / totals, np.nan), 0.0, 1.0)
+        mean_all = np.where(signed > 0, (2.0 * plus - signed) / np.where(signed > 0, signed, 1.0), np.nan)
+        defined = (totals > 0) & (frequency >= 1.0 / np.where(totals > 0, totals, 1.0))
+        mean = np.where(
+            defined,
+            np.clip((mean_all - (1.0 - frequency) * default_value) / np.where(defined, frequency, 1.0), -1.0, 1.0),
+            np.nan,
+        )
+    return frequency, mean, defined
+
+
+def _ref_decode(name, table, epsilon, vbar):
+    if name == "privkv":
+        return _ref_privkv_decode_original(table, PrivacyBudget.split(epsilon))
+    if name == "f2m":
+        return _ref_f2m_decode(*_f2m_tally(table), PrivacyBudget.split(epsilon), vbar)
+    return _ref_stats_from_estimates(PROTOCOLS[name].estimate(table, epsilon), table.sum(axis=1))
+
+
+def _code_table(size, seed):
+    """(keys, size) report counts: a key with no reports, a one-report key per code, then keys whose
+    skewed counts span four decades, so every clip and every undefined mean is reached."""
+    rng = np.random.default_rng(seed)
+    rows = [np.zeros((1, size), dtype=np.int64), np.eye(size, dtype=np.int64)]
+    rows += [rng.poisson(scale * rng.uniform(0.0, 1.0, (40, size))) for scale in (0.3, 2.0, 20.0, 300.0, 5000.0)]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("name", MECHANISMS)
+def test_decoders_match_the_hand_written_clips(name):
+    table = _code_table(len(PAYLOADS[PROTOCOLS[name].mechanism].values), 170)
+    undefined = clipped = 0
+    for epsilon in (0.01, 0.1, 0.5, 1.0, 4.0, 10.0, 50.0):
+        for vbar in (-1.0, 0.0, 0.3, 1.0):
+            want = _ref_decode(name, table, epsilon, vbar)
+            _assert_same_arrays(PROTOCOLS[name].decode(table, epsilon, vbar), want)
+            undefined += int(np.isnan(want[1]).sum())
+            clipped += int(np.isin(want[0], (0.0, 1.0)).sum() + np.isin(want[1], (-1.0, 1.0)).sum())
+    assert undefined and clipped
+
+
+def _ref_clipped_ratio(top: float, bottom: float, low: float) -> float:
+    """The retired scalar rule: top / bottom clipped to [low, 1]; NaN below one user less a 1e-6 slack."""
+    if bottom < 1.0 - 1e-6:
+        return math.nan
+    return min(max(top / bottom, low), 1.0)
+
+
+def _ref_answers(plan, agg):
+    view = agg.values.reshape(plan.shape)
+    answers = []
+    for indices in plan.indices:
+        denominator, numerator, positive, negative = (float(view[index].sum()) for index in indices)
+        answers.append((_ref_clipped_ratio(numerator, denominator, 0.0),
+                        _ref_clipped_ratio(positive - negative, positive + negative, -1.0)))
+    return answers
+
+
+def _assert_same_answers(plan, agg) -> np.ndarray:
+    """plan.answers(agg) against the scalar rule: a list of float pairs, equal byte for byte; returns them."""
+    got, want = plan.answers(agg), _ref_answers(plan, agg)
+    assert type(got) is list and all(type(pair) is tuple for pair in got)
+    assert all(type(answer) is float for pair in got for answer in pair)
+    assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+    return np.array(want, dtype=np.float64)
+
+
+def _random_queries(d, rng, count):
+    """(target, condition) pairs with random targets and conditions on the other keys."""
+    queries = []
+    for _ in range(count):
+        k = int(rng.integers(d))
+        alpha = rng.integers(0, 2, d)
+        alpha[k] = 0
+        queries.append((k, Condition(alpha, alpha * rng.integers(0, 2, d))))
+    return queries
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_query_answers_match_the_scalar_clipped_ratio(d):
+    rng = np.random.default_rng(180 + d)
+    queries = _workload_queries(d) + _random_queries(d, rng, 6)
+    values = np.where(rng.random((300, d)) < 0.5, rng.uniform(-1.0, 1.0, (300, d)), np.nan)
+    answers = []
+    for classes in (query_classes(queries, d), None):
+        lumping = Lumping(values, classes)
+        plan = QueryPlan(queries, lumping.classes)
+        for epsilon in (0.1, 0.5, 2.0, 50.0):
+            agg = lumping.draw(epsilon, rng)
+            answers.append(_assert_same_answers(plan, agg))
+            assert QueryPlan([], lumping.classes).answers(agg) == []
+    answers = np.concatenate(answers)
+    assert np.isnan(answers).any() and not np.isnan(answers).all()
+
+
+def test_query_answers_match_the_scalar_clipped_ratio_at_the_floor():
+    # Every d = 1 aggregate over signed zeros, counts at and either side of the slackened floor, and
+    # out-of-range ratios.
+    plan = QueryPlan([(0, Condition.empty(1))], ((0, 1, 2),))
+    entries = (-0.0, 0.0, 1.0 - 2e-6, 1.0 - 1e-6, 1.0 - 5e-7, 1.0, 3.0, -2.0)
+    answers = np.concatenate([_assert_same_answers(plan, AggregateVector(np.array(values), 10, 1, 1.0))
+                              for values in itertools.product(entries, repeat=3)])
+    assert np.isnan(answers).any() and np.isin(answers, (-1.0, 0.0, 1.0)).any()

@@ -572,6 +572,17 @@ def test_bound_vacuous_marker_and_domain_errors():
         theoretical_bound(Mechanism.KVUE, -1.0, 100, 0.05, 0.5)
 
 
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+@pytest.mark.parametrize("mechanism", [Mechanism.KVUE, Mechanism.KVOH, Mechanism.F2M])
+def test_bounds_stay_finite_at_a_subnormal_delta(mechanism, delta):
+    # log(2 / delta) used to overflow to inf there, though log(2) - log(delta) is about 714 to 745.
+    bounds = theoretical_bound(mechanism, 1.0, 10**6, delta, 0.5)
+    assert all(map(math.isfinite, bounds)), bounds
+    assert bounds[0] > theoretical_bound(mechanism, 1.0, 10**6, 1e-300, 0.5)[0]
+    if mechanism is not Mechanism.F2M:
+        assert math.isfinite(count_deviation_bound(mechanism, 1.0, 10**6, delta))
+
+
 @pytest.mark.parametrize("mechanism, epsilon", [
     (Mechanism.KVUE, 1e-17), (Mechanism.KVOH, 1e-16), (Mechanism.F2M, 5e-324), (Mechanism.KVUE, 1e-12),
 ])
