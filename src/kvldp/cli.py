@@ -30,6 +30,8 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _format_cell,
+    cell_streams,
+    check_distinct,
     check_format,
     check_mechanisms,
     default_value_study,
@@ -44,7 +46,6 @@ from .harness import (
 )
 from .mechanisms import Mechanism, packed_size_bits, report_size_bits, theoretical_bound
 
-_TRACE_TAG = 4
 _DATASET_TAG = 9
 
 
@@ -74,6 +75,7 @@ def _dims(text):
     dims = _numbers(int)(text)
     if not all(1 <= d <= IOH_DIMENSION_CAP for d in dims):
         raise ValueError(f"each dimension must lie in 1..{IOH_DIMENSION_CAP}")
+    check_distinct("dimension", dims)
     return dims
 
 
@@ -242,10 +244,10 @@ def _cmd_run(opts, args) -> int:
         emit(result.per_key_rows, opts.format, _sibling_path(opts.out, "perkey"), config=header)
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
-        for mi, mechanism in enumerate(config.mechanisms):
-            rng = RandomSource(opts.seed).substream(_TRACE_TAG, mi).generator()
+        stream = cell_streams(opts.seed)
+        for mi, mechanism in enumerate(config.mechanisms):  # the reports behind row (epsilons[0], repetition 0)
             write_trace(os.path.join(args.trace, f"{mechanism}.txt"), mechanism, ds,
-                        config.epsilons[0], rng, config.default_value)
+                        config.epsilons[0], stream((mi, 0, 0)), config.default_value)
     for message in soft_checks(summary):
         print(f"soft-check: {message}", file=sys.stderr)
     print(f"wrote {len(result.rows)} rows to {opts.out}")
@@ -341,7 +343,8 @@ _COMMANDS = {
     "run": (_cmd_run, "mechanism x epsilon x repetition sweep", {
         **_CONFIG, "--per-key": {"action": "store_true", "help": "also write per-key estimate rows"},
         "--timing": {"action": "store_true", "help": "include wall-time column (breaks byte determinism)"},
-        "--trace": {"help": "directory for wire-format report traces (first epsilon)"}}),
+        "--trace": {"help": "directory for the wire-format reports behind each mechanism's row "
+                               "(first epsilon, repetition 0); they decode to that row"}}),
     "conditional": (_cmd_conditional, "conditional frequency/mean experiment vs oracle", {
         **_CONFIG, "--agg-out": {"help": "persist the first cell's calibrated aggregate vector"}}),
     "default-study": (_cmd_default_study, "f2m default-value sensitivity study", _CONFIG),

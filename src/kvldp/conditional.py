@@ -100,10 +100,6 @@ class Condition:
     def d(self) -> int:
         return len(self.alpha)
 
-    @property
-    def n_constrained(self) -> int:
-        return sum(self.alpha)
-
     @classmethod
     def empty(cls, d: int) -> "Condition":
         return cls((0,) * d, (0,) * d)

@@ -60,7 +60,7 @@ class ConfigError(ValueError):
 
 
 def _check_grid(epsilons, repetitions, workers) -> tuple:
-    """Check the settings every experiment shares; returns the epsilons as floats."""
+    """Check the settings every experiment shares; returns the epsilons as floats, each given once."""
     if isinstance(epsilons, (str, bytes)):  # iterating text would read each character as an epsilon
         raise ConfigError(f"epsilons must be a sequence of positive finite reals, not text: {epsilons!r}")
     try:
@@ -69,17 +69,25 @@ def _check_grid(epsilons, repetitions, workers) -> tuple:
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons!r}") from exc
     if not epsilons or any(not (math.isfinite(e) and e > 0) for e in epsilons):
         raise ConfigError(f"epsilons must be positive finite reals, got {epsilons}")
+    check_distinct("epsilon", epsilons)
     for name, count in (("repetitions", repetitions), ("workers", workers)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 1 <= count <= sys.maxsize:
             raise ConfigError(f"{name} must be an integer from 1 to {sys.maxsize}, got {count!r}")
     return epsilons
 
 
+def check_distinct(kind: str, values) -> None:
+    """ConfigError naming the first repeated value: a repeated grid label would merge distinct cells."""
+    if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+        raise ConfigError(f"{kind} {repeated[0]!r} is given more than once; grid values must be distinct")
+
+
 def check_mechanisms(names) -> list:
-    """The registry entries behind names; ConfigError naming every name not in MECHANISMS."""
+    """The registry entries behind names; ConfigError naming every name not in MECHANISMS, or a repeated one."""
     unknown = [m for m in names if m not in MECHANISMS]
     if unknown:
         raise ConfigError(f"unknown mechanisms {unknown}; choose from {list(MECHANISMS)}")
+    check_distinct("mechanism", names)
     return [PROTOCOLS[m] for m in names]
 
 
@@ -111,13 +119,8 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         # workers is an execution detail with no effect on results, so it is
         # kept out of emitted headers to preserve byte-identical outputs.
-        return {
-            "mechanisms": list(self.mechanisms),
-            "epsilons": list(self.epsilons),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "default_value": self.default_value,
-        }
+        return {"mechanisms": list(self.mechanisms), "epsilons": list(self.epsilons),
+                "repetitions": self.repetitions, "seed": self.seed, "default_value": self.default_value}
 
 
 @dataclass(frozen=True)
@@ -133,18 +136,9 @@ class MetricRow:
     wall_time: float
 
     def as_dict(self, timing: bool = False) -> dict:
-        row = {
-            "mechanism": self.mechanism,
-            "epsilon": self.epsilon,
-            "repetition": self.repetition,
-            "freq_ae": self.freq_ae,
-            "freq_mse": self.freq_mse,
-            "mean_ae": self.mean_ae,
-            "mean_mse": self.mean_mse,
-            "undefined_means": self.undefined_means,
-        }
-        if timing:
-            row["wall_time"] = self.wall_time
+        row = dict(vars(self))  # the fields in order
+        if not timing:
+            del row["wall_time"]
         return row
 
 
@@ -203,6 +197,12 @@ def run_single(ds: Dataset, mechanism: str, epsilon: float, rng, repetition: int
     return SingleRun(frequency, mean, defined, row)
 
 
+def cell_streams(seed: int, tag: int = _SWEEP_TAG):
+    """cell -> the generator of grid cell cell: substream (tag, *cell) of the master seed; the sweep's by default."""
+    root = RandomSource(seed)
+    return lambda cell: root.substream(tag, *cell).generator()
+
+
 def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     """Run work(rng, cell, *labels) on every cell of a grid; returns (results, failures).
 
@@ -214,7 +214,7 @@ def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     the cells that completed returned, in grid order; failures holds one
     dict per cell that raised: its axis labels plus "error".
     """
-    root = RandomSource(seed)
+    stream = cell_streams(seed, tag)
     cells = itertools.product(*(range(len(labels)) for labels in axes.values()))
     # pool.map submits every cell at once: no more threads than cells or than CPUs this process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -223,7 +223,7 @@ def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     def attempt(cell):
         labels = [axis[i] for axis, i in zip(axes.values(), cell)]
         try:
-            return labels, work(root.substream(tag, *cell).generator(), cell, *labels)
+            return labels, work(stream(cell), cell, *labels)
         except Exception as exc:  # recorded per cell, the grid continues
             return labels, exc
 
@@ -439,6 +439,7 @@ def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0
     vbars = [float(v) for v in vbars]
     if not vbars or any(not -1.0 <= v <= 1.0 for v in vbars):
         raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
+    check_distinct("default value", vbars)
     truth = true_stats(ds)
 
     def work(rng, _cell, epsilon, vbar, rep):

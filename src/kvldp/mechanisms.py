@@ -95,7 +95,6 @@ PAYLOADS = {
     Mechanism.F2M: PayloadTable(("00", "01", "10", "11"), ((0, -1), (0, 1), (1, -1), (1, 1))),
     Mechanism.KVOH: PayloadTable(_KVOH_TEXTS, [tuple(map(int, text)) for text in _KVOH_TEXTS]),
 }
-_MECHANISM_OF_NAME = {m.value: m for m in Mechanism}
 
 
 # A trace holds at most d x |payloads| distinct lines, so nearly every line
@@ -112,11 +111,11 @@ def _parse_report_line(line: str) -> Report:
     """The report a wire line holds; equal lines share one immutable Report."""
     try:
         name, index, text = line.strip().split(",")
-        mechanism = _MECHANISM_OF_NAME[name]
+        mechanism = Mechanism(name)
         if not _KEY_INDEX.fullmatch(index):
             raise ValueError(f"non-canonical key index {index!r}")
         key_index = int(index)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DomainError(f"malformed report line {line!r}") from exc
     table = PAYLOADS[mechanism]
     code = table.code_of_text.get(text)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from kvldp import cli
 from kvldp.cli import main
 from kvldp.conditional import Condition, Lumping, conditional_frequency, conditional_mean, load_aggregate
-from kvldp.datagen import load_dataset
-from kvldp.harness import ConfigError, ExperimentConfig, parse_table
+from kvldp.core import RandomSource
+from kvldp.datagen import gen_synthetic, load_dataset
+from kvldp.harness import _SWEEP_TAG, ConfigError, ExperimentConfig, parse_table, run_single
+from kvldp.mechanisms import PAYLOADS, PROTOCOLS, Report, code_table
 
 
 def test_generate_and_run_sweep(tmp_path, capsys):
@@ -66,6 +68,57 @@ def test_run_trace_and_per_key(tmp_path):
     assert (trace_dir / "kvue.txt").read_text().count("\n") == 500
     _, per_key = parse_table(tmp_path / "t.perkey.csv")
     assert len(per_key) == 5
+
+
+def test_each_trace_is_the_reports_behind_its_mechanism_first_row(tmp_path):
+    # A trace used to be drawn on a stream of its own, which no row came from.
+    names = list(reversed(PROTOCOLS))  # the cell index is the position on the command line
+    out, trace_dir, seed, epsilon, vbar = tmp_path / "t.csv", tmp_path / "traces", 3, 0.25, 0.5
+    assert main(["run", "--dataset", "gaussian", "--d", "12", "--n", "400", "--mechanisms", ",".join(names),
+                 "--epsilon", f"{epsilon},2", "--reps", "2", "--vbar", str(vbar), "--seed", str(seed),
+                 "--per-key", "--trace", str(trace_dir), "--out", str(out)]) == 0
+    ds = gen_synthetic("gaussian", 12, 400, RandomSource(seed).substream(cli._DATASET_TAG).stream_id)
+    _, per_key = parse_table(tmp_path / "t.perkey.csv")
+    undefined = 0
+    for i, name in enumerate(names):
+        reports = [Report.from_line(line) for line in (trace_dir / f"{name}.txt").read_text().splitlines()]
+        payloads = PAYLOADS[PROTOCOLS[name].mechanism]
+        table = code_table(PROTOCOLS[name].mechanism, [r.key_index for r in reports],
+                           [payloads.code_of_value[r.payload] for r in reports], ds.d)
+        decoded = PROTOCOLS[name].decode(table, epsilon, vbar)
+        run = run_single(ds, name, epsilon, RandomSource(seed).substream(_SWEEP_TAG, i, 0, 0).generator(),
+                         default_value=vbar)
+        for got, want in zip(decoded, run[:3]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        rows = [row for row in per_key if (row["mechanism"], row["epsilon"], row["repetition"]) == (name, epsilon, 0)]
+        assert [row["key"] for row in rows] == list(range(ds.d))
+        for row, frequency, mean in zip(rows, decoded[0], decoded[1]):
+            assert ("%.6g" % row["freq_est"], "%.6g" % row["mean_est"]) == ("%.6g" % frequency, "%.6g" % mean)
+        undefined += int((~decoded[2]).sum())
+    assert undefined > 0  # the comparison covers NaN means too
+
+
+_SMALL_RUN = ["--dataset", "gaussian", "--d", "3", "--n", "50", "--reps", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", *_SMALL_RUN, "--mechanisms", "kvue,kvue"], "mechanism 'kvue' is given more than once"),
+    (["run", *_SMALL_RUN, "--epsilon", "1,1.0"], "epsilon 1.0 is given more than once"),
+    (["default-study", *_SMALL_RUN, "--vbar=0,0"], "default value 0.0 is given more than once"),
+    (["conditional", "--n", "50", "--dims", "3,3"], "dimension 3 is given more than once"),
+    (["conditional", "--n", "50", "--dims", "2", "--epsilon", "4,4"], "epsilon 4.0 is given more than once"),
+    (["bounds", "--mechanisms", "kvue,kvue"], "mechanism 'kvue' is given more than once"),
+], ids=["run-mechanisms", "run-epsilon", "default-study-vbar", "conditional-dims", "conditional-epsilon",
+        "bounds-mechanisms"])
+def test_a_repeated_grid_value_is_a_config_error(tmp_path, capsys, argv, message):
+    # Each used to exit 0: run's summary merged two cells into one with twice the repetitions and one
+    # trace overwrote the other, default-study printed a spread ratio of 1.000 and conditional wrote
+    # rows that shared every label.
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and message in err
+    assert not out.exists()
 
 
 def test_ingest_command(tmp_path):
@@ -274,6 +327,17 @@ def test_conditional_agg_out_draws_each_cell_once(tmp_path, monkeypatch):
     assert main(["conditional", "--dims", "3,2", "--epsilon", "2,4", "--reps", "2", "--n", "300",
                  "--out", str(tmp_path / "cond.csv"), "--agg-out", str(tmp_path / "agg.txt")]) == 0
     assert draws == [3] * 4 + [2] * 4  # --agg-out saves the first grid's cell 0 without drawing it again
+
+
+def test_conditional_agg_out_leaves_the_rows_of_every_later_grid_byte_identical(tmp_path):
+    # The full partition of the first grid draws one uniform per key, so only that grid's rows may move.
+    argv = ["conditional", "--dims", "3,4,2", "--epsilon", "1,4", "--n", "2000", "--reps", "2", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "saved.csv"), "--agg-out", str(tmp_path / "agg.txt")]) == 0
+    plain, saved = ((tmp_path / name).read_text().splitlines() for name in ("plain.csv", "saved.csv"))
+    later = [[line for line in lines if line.startswith(("4,", "2,"))] for lines in (plain, saved)]
+    assert len(later[0]) == 8 and later[0] == later[1]
+    assert plain[:2] == saved[:2] and len(plain) == len(saved)  # same header and columns, same first-grid row count
 
 
 def test_bounds_at_a_vanishing_epsilon_is_a_domain_error(capsys):
@@ -601,9 +665,9 @@ def test_config_file_fuzz_ends_in_resolved_options_or_a_config_error(tmp_path_fa
 
 
 # Per table option, valid values and edge values: zero, negatives, NaN, inf,
-# overflow, empty lists, junk, and paths that are missing, unwritable or
-# not the expected kind of file.  A value starting with @ names a file in
-# the example's own directory.  --n, --reps and --workers are always given,
+# overflow, empty lists, repeated grid values, junk, and paths that are
+# missing, unwritable or not the expected kind of file.  A value starting
+# with @ names a file in the example's own directory.  --n, --reps and --workers are always given,
 # so a run stays at n <= 40, one repetition and at most 2 workers; so are
 # the required options, so that most lines reach a run.
 _NUMBERS = ["0", "-1", "nan", "inf", "1e300", ",", "x"]
@@ -613,12 +677,12 @@ _FUZZ_VALUES = {
     "d": (["1", "3", "12"], ["0", "-1", "2,3", "x", _HUGE]),
     "reps": (["1"], ["0", "-1", "x", _HUGE]), "workers": (["1", "2"], ["0", "x"]),
     "seed": (["0", "7"], ["-1", "18446744073709551616", "x"]),
-    "epsilon": (["0.5", "4", "1,4"], _NUMBERS), "vbar": (["0.5"], [*_NUMBERS, "0.5,1"]),
+    "epsilon": (["0.5", "4", "1,4"], [*_NUMBERS, "1,1"]), "vbar": (["0.5"], [*_NUMBERS, "0.5,1", "0,0"]),
     "delta": (["0.05"], _NUMBERS), "f": (["0.5"], _NUMBERS), "spread": (["0.1", "0"], _NUMBERS),
-    "dims": (["2", "1", "3,2", "8,2"], ["13", "0", ",", "x"]),
+    "dims": (["2", "1", "3,2", "8,2"], ["13", "0", ",", "x", "3,3"]),
     "target": (["k1", "k2"], ["k6", "k0", "k01", "", "x"]),
     "cond": (["k2=1", "k1=0", ""], ["k5=1", "k2=1,k2=0", "k2=2", "x"]),
-    "mechanisms": (["kvue", "f2m,kvoh", "privkv"], [",", "x"]),
+    "mechanisms": (["kvue", "f2m,kvoh", "privkv"], [",", "x", "kvue,kvue"]),
     "format": (["csv", "json"], ["x"]), "dist": (["gaussian", "uniform", "regime"], ["x"]),
     "freq-regime": (["high", "extreme_low"], ["x"]), "mean-regime": (["low"], ["x"]),
     "top-k": (["1", "3"], ["0", "-1", "x"]), "scale": (["1,5"], ["5,1", "1", "nan,5", "x"]),

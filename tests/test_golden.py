@@ -6,8 +6,9 @@ and the five wire traces, the packed bytes of every trace at three key
 domains, a conditional run with its saved aggregate, a default-value
 study with its summary, and the `bounds` and `cost` tables.  A refactor must
 leave every hash where it is.  A change that moves bytes on purpose
-regenerates only the affected entries (run this file as a script to print
-the current table) and says why.
+regenerates only the affected entries and says why: run this file as a
+script to print the current table on stdout and, on stderr, the names
+whose digest differs from the committed one.
 
 The hashes depend on numpy's random streams and float formatting, so the
 test skips on any numpy version other than the one that made the table.
@@ -37,32 +38,32 @@ GOLDEN = {
     "conditional.csv": "bf7456cdded2075075215c25d1c7963f754a61d3d920ac96f083cf2bd5d0abd3",
     "cost.csv": "8ebfaa23dff167e6c71aca5247d7b7c36b0c7e6b04bea2e77b610b1c459fdd69",
     "gaussian.csv": "2aa8802dabef4bec10cd71a3007aa3e56992f939616623a726f3e5489e1c3d3b",
-    "packed/f2m.d20": "8dd336c40af2792073381955dc35f6230e8beb5de9bf9192fef6e3b76084871a",
-    "packed/f2m.d37": "b9adf69ed959f76416618099eabb517f9fe2a66bce35dbb1929efbbe8eb0192c",
-    "packed/f2m.d65": "4761e178c09e5018806a7b6f6e08ee9bf088b073845e2941fdfe504cc72ad5fb",
-    "packed/kvoh.d20": "b0c53f7ef5f821926d07e300e623dccedefdf4004a57992ea89ae92ec2115220",
-    "packed/kvoh.d37": "495806b48a9d1999fc7f402687b719c74911cead2e763132afd77cd3dae80ffd",
-    "packed/kvoh.d65": "d0f177106b7f0e2213692f4e22ee9203070b59b4aacb65d8159471acd0da7428",
-    "packed/kvue.d20": "aafde64ed7470b51c86536d6cc962d0dd4113d8f005c405631848f7d10d8ed38",
-    "packed/kvue.d37": "2d503384f0ea8e3ee59473b7dcfd8ca90beab2610f19f2a57d26e0d382cf569f",
-    "packed/kvue.d65": "7384c2d7999b291e447a3fa8a1e76760abe7e7e530aefbe5575c02baecb66918",
-    "packed/privkv-improved.d20": "40e99df4a76527bf256f1c6101fbb59304ebf1e5b6c8386f5391b381feb5d0e7",
-    "packed/privkv-improved.d37": "40723f549013dd620ed4e37e3a21858d164044e9c6dd2c76ba8444626430c796",
-    "packed/privkv-improved.d65": "421436bccd071ec191ccb1af644c42d32226e74aed240bf75e7a12d09e6267dd",
-    "packed/privkv.d20": "0d6efa005dd5a4ca4c72ccb8f8b0fff185db4c0c34cb9e286ee3a196ff89cb35",
-    "packed/privkv.d37": "659fc7f0cbcd69c9afceaadd45c96c8b0f583b63acdda22c8217af0f44219d50",
-    "packed/privkv.d65": "f05b0638944dfabb525df0aed1193cfd9c72cc52dff905f7dfb02cabdb8ec49d",
+    "packed/f2m.d20": "f2b570bd3aa238cd3ddd6ca60d783d4e9af841e0dd78e0c059ebd77b8a25919f",
+    "packed/f2m.d37": "61dcd76a086b6aa479a6f3cfdc19980af1e07c89703f71654a1cf60a36664d15",
+    "packed/f2m.d65": "eb2fdc808159a9fd665562caa48fc6f2af2c21338cf055f726c33c98402b376a",
+    "packed/kvoh.d20": "00f3148935ee7a2323916f68f296e0ce1ebfba3c8810377f495feed8ed038dad",
+    "packed/kvoh.d37": "c39411c7f6f75ef269fc15cab7299779d44f02fc01dceb5e9105c7ed548e92a5",
+    "packed/kvoh.d65": "b073df93bbb22490b7634dbaa154435d4f2efc137269f17019e51ffeb7387bb5",
+    "packed/kvue.d20": "1a65213cf5625f278dfd274e9334fcc40b0835a334d7cf3f0ffc3103bccf7ff7",
+    "packed/kvue.d37": "b21ccd003da3fa869e45e792ebe1cbfe51ab2d5d98f82bde685b502c401ea122",
+    "packed/kvue.d65": "20e78ffb305e9d2153fddcc9c7339e47d2c677fb74294d4276f9f42c199811b4",
+    "packed/privkv-improved.d20": "e40d0d4458a842e8683195d1f80ecd51c68e9678fcbe109cd53bd3b5e245ceda",
+    "packed/privkv-improved.d37": "5005b37de6d64494171b20d4ef6147f8b339156e54db8bde9859a4317c0185cb",
+    "packed/privkv-improved.d65": "3803c0383fea25813c0fcfcb5ffc9485757d928116892b9b8949ab939022670a",
+    "packed/privkv.d20": "59ca84652e30c9b1009fc6f02356236315b6fc2d5f34738060ab833639a91160",
+    "packed/privkv.d37": "45d15ada3c3f99f65f49cdb2d151bf66ef7efaebf9df1f048b0ebd8f390f69d6",
+    "packed/privkv.d65": "7112b0ed6f2e63ee019fc4ba0d789204ca1818fc6eb278a1d3db228fd7e9e9b5",
     "regime.csv": "a070e8dbefa60fa30e43a7c6e1f18ab0a33c26ab940543e2fb5051c1f6c91273",
     "run.csv": "89ae92ee0542218e29b8072aa80ef5eff6670c56a334ab184a0f8d57594fd1ef",
     "run.perkey.csv": "dac90965b77b0d94f1fa777811033cacd03171639b11be53b4ee2a4dbbcc8bc8",
     "run.summary.csv": "0cee813de968458dcca3682e7630d4ba97cb9249889c76472ce28fe6e5d5f4e9",
     "study.csv": "991878fafe1854b34e4d94c373604a73b7957b783ed8676a64d71ce195b5a15c",
     "study.summary.csv": "e0d2e75e422463bf825843584723dd52ec1b7ff9c7126d2028231646966a9339",
-    "traces/f2m.txt": "907e3e4b4afe7e0482aff1b51f796d087db2f91ba271dbe630d77992f71a4755",
-    "traces/kvoh.txt": "237bee933aeab324bdbce612aa2e3d1f9aedd4319ace13ed3c097b5997be3480",
-    "traces/kvue.txt": "01cd5750dd147abdbd8f12fa9b24947662b0e0337359e0529a1a881ce36244f7",
-    "traces/privkv-improved.txt": "138762f9a84c1bf66046eabe29bdbcd469b93f7107aafd09adc7515553fc8112",
-    "traces/privkv.txt": "f4a0d0f0746b8fc45ae4ddec62010a25ccb3c031437cf06bf946fc52d685e77f",
+    "traces/f2m.txt": "9209db5e2b5af9dde85d9e171c5320a4d2d6c24cb33ee68ddfc8d3fb3cc91fc5",
+    "traces/kvoh.txt": "538a9427704bf3e6b782142c57605b44a7fcf0540bbb1a6388068ad4dc8df950",
+    "traces/kvue.txt": "1dd2c3d7b19faf2566a6b6e210454053cc8fa0e4b097ab84d1c76feca0d1cdc3",
+    "traces/privkv-improved.txt": "830a8dbe279e6e780809c2dc8a5f35df8d006de5cd952c961d6933b4fb9c4157",
+    "traces/privkv.txt": "3181452839e2378935ebbf77418e2466439d4ff04024503c5365e243092fa8e4",
 }
 
 
@@ -117,11 +118,16 @@ def test_outputs_match_golden_hashes(tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
-        print(f'GOLDEN_NUMPY = "{np.__version__}"')
-        print("GOLDEN = {")
-        for name, digest in sorted(golden_outputs(workdir).items()):
-            print(f'    "{name}": "{digest}",')
-        print("}")
+        hashes = golden_outputs(workdir)
+    print(f'GOLDEN_NUMPY = "{np.__version__}"')
+    print("GOLDEN = {")
+    for name, digest in sorted(hashes.items()):
+        print(f'    "{name}": "{digest}",')
+    print("}")
+    # The entries to regenerate: a name whose digest moved, is new, or is gone.
+    moved = sorted(name for name in hashes.keys() | GOLDEN.keys() if hashes.get(name) != GOLDEN.get(name))
+    print(f"{len(moved)} of {len(GOLDEN)} committed entries differ: {', '.join(moved) or 'none'}", file=sys.stderr)

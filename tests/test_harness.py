@@ -52,6 +52,18 @@ def test_config_validation():
         ExperimentConfig(workers=0)
 
 
+@pytest.mark.parametrize("grid, message", [
+    (lambda ds: ExperimentConfig(mechanisms=("kvue", "f2m", "kvue")), "mechanism 'kvue'"),
+    (lambda ds: ExperimentConfig(epsilons=(1, 2, 1.0)), "epsilon 1.0"),
+    (lambda ds: default_value_study(ds, vbars=(0.0, -0.0), repetitions=1), "default value -0.0"),
+    (lambda ds: run_conditional(ds, (4, 4.0), 1, seed=0), "epsilon 4.0"),
+], ids=["mechanisms", "epsilons", "signed-zero-vbars", "conditional-epsilons"])
+def test_a_repeated_grid_value_is_a_config_error(grid, message):
+    # Grid labels key the summaries, so a repeated one merged distinct cells; -0.0 == 0.0 merged too.
+    with pytest.raises(ConfigError, match=f"{message} is given more than once"):
+        grid(_small_dataset(n=200, d=3))
+
+
 def test_run_single_deterministic():
     ds = _small_dataset()
     truth = true_stats(ds)
@@ -160,12 +172,12 @@ def test_run_conditional_hands_back_the_first_cells_aggregate(full_partition):
 
 
 def test_run_conditional_finds_the_first_cell_by_position_not_by_epsilon():
-    # With a repeated epsilon, cells (0, 0) and (1, 0) share their labels, and
-    # two workers may finish them in either order.
+    # Cells (0, 0) and (0, 1) share their epsilon, and two workers may finish
+    # them in either order.
     ds = _small_dataset(n=1000, d=4)
-    rows = run_conditional(ds, (1.0, 1.0), 2, seed=8, workers=2, full_partition=True)
+    rows = run_conditional(ds, (1.0,), 2, seed=8, workers=2, full_partition=True)
     assert _same_aggregate(rows.aggregate, _cell_draw(ds, 1.0, 8, (0, 0)))
-    assert not _same_aggregate(rows.aggregate, _cell_draw(ds, 1.0, 8, (1, 0)))
+    assert not _same_aggregate(rows.aggregate, _cell_draw(ds, 1.0, 8, (0, 1)))
 
 
 def test_default_value_study_records_partial_failures():
