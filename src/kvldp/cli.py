@@ -32,8 +32,10 @@ from .harness import (
     _format_cell,
     cell_streams,
     check_distinct,
+    check_grid,
     check_format,
     check_mechanisms,
+    check_study_grid,
     default_value_study,
     default_value_spread_ratio,
     emit,
@@ -257,6 +259,7 @@ def _cmd_run(opts, args) -> int:
 def _cmd_conditional(opts, args) -> int:
     if opts.cond is not None and opts.target is None:
         raise ConfigError("--cond requires --target")
+    check_grid(opts.epsilon, opts.reps, opts.workers)  # before any dataset is built
     loaded = None  # a --dataset file, loaded once and checked against every dimension before any grid
     if opts.dataset is not None and os.path.exists(opts.dataset):
         loaded = load_dataset(opts.dataset)
@@ -296,6 +299,7 @@ def _cmd_conditional(opts, args) -> int:
 
 
 def _cmd_default_study(opts, args) -> int:
+    check_study_grid(opts.vbar, opts.epsilon, opts.reps, opts.workers)  # before the dataset is built
     ds = _dataset_from_spec(opts.dataset, opts.d, opts.n, opts.seed)
     detail, summary, failures = default_value_study(ds, opts.vbar, opts.epsilon, opts.reps, opts.seed,
                                                     workers=opts.workers)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -23,20 +24,28 @@ FREQUENCY_REGIMES = {"extreme_low": 0.05, "low": 0.2, "middle": 0.6, "high": 0.8
 MEAN_REGIMES = {"low": -0.8, "middle": 0.0, "high": 0.8}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """n user records over d keys; values[i, k] is NaN when user i lacks key k."""
+    """n user records over d keys; values[i, k] is NaN when user i lacks key k.
+
+    A dataset is immutable: values is a read-only, C-ordered float64 view
+    (a C-ordered float64 input is not copied, any other layout is copied
+    once), and true_stats computes its ground truth once and keeps it.
+    Writing to an array after handing it in leaves that truth stale.
+    """
 
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DomainError(f"dataset values must be a 2-d matrix, got shape {self.values.shape}")
+        values = np.asarray(self.values, dtype=np.float64, order="C").view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2:
+            raise DomainError(f"dataset values must be a 2-d matrix, got shape {values.shape}")
         # fmin/fmax skip NaN and reduce without an n x d temporary.
-        if self.values.size and (np.fmin.reduce(self.values, axis=None) < -1.0
-                                 or np.fmax.reduce(self.values, axis=None) > 1.0):
+        if values.size and (np.fmin.reduce(values, axis=None) < -1.0
+                            or np.fmax.reduce(values, axis=None) > 1.0):
             raise DomainError("dataset values must lie in [-1, 1]")
 
     @property
@@ -46,6 +55,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @functools.cached_property
+    def _truth(self) -> GroundTruth:
+        # cached_property writes the instance dict, which a frozen dataclass allows.
+        return _ground_truth(self.values)
 
 
 @dataclass(frozen=True)
@@ -247,14 +261,45 @@ def ingest_ratings(path, top_k: int, rating_scale=(1.0, 5.0), max_rows=None, max
 # ---------------------------------------------------------------------------
 
 
-def true_stats(ds: Dataset) -> GroundTruth:
-    """Exact per-key frequency and mean by direct counting."""
-    present = ~np.isnan(ds.values)
-    holders = present.sum(axis=0)
-    frequency = holders / ds.n
-    sums = np.add.reduce(ds.values, axis=0, where=present)
+def _ground_truth(values) -> GroundTruth:
+    """Exact per-key frequency and mean by direct counting, in one pass over row blocks.
+
+    Each block's absent entries are zeroed through their bits (NaN != NaN
+    gives an all-zero mask) and the block is reduced under the running
+    sum, so every key's holders are added in row order, as a masked
+    reduction of a C-ordered matrix adds them, without an n x d mask.
+    """
+    n, d = values.shape
+    blocks = row_blocks(n, d)
+    holders = np.zeros(d, dtype=np.int64)
+    # [running sum; block], reduced along axis 0.  At d = 1 a spare zero
+    # column keeps numpy from summing the lone column pairwise.
+    stack = np.zeros((1 + max((len(range(n)[rows]) for rows in blocks), default=0), max(d, 2)))
+    running = np.zeros(stack.shape[1])
+    for rows in blocks:
+        block = values[rows]
+        present = np.equal(block, block)
+        holders += np.count_nonzero(present, axis=0)
+        mask = present.view(np.uint8).astype(np.uint64)
+        np.negative(mask, out=mask)  # all ones where present, zero where absent
+        np.bitwise_and(block.view(np.uint64), mask, out=stack[1:1 + len(block), :d].view(np.uint64))
+        stack[0] = running
+        np.add.reduce(stack[:1 + len(block)], axis=0, out=running)
+    sums = running[:d]
+    frequency = holders / n
     mean = np.where(holders > 0, sums / np.where(holders > 0, holders, 1), np.nan)
+    for array in (frequency, mean):
+        array.flags.writeable = False
     return GroundTruth(frequency, mean)
+
+
+def true_stats(ds: Dataset) -> GroundTruth:
+    """Exact per-key frequency and mean, computed on first use and kept on the dataset.
+
+    Its arrays are read-only.  Threads racing on a new dataset may each
+    compute it, and every one gets the same bytes.
+    """
+    return ds._truth
 
 
 def true_conditionals(ds: Dataset, queries) -> list:

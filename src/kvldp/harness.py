@@ -59,7 +59,7 @@ class ConfigError(ValueError):
     """An experiment configuration is inconsistent or incomplete."""
 
 
-def _check_grid(epsilons, repetitions, workers) -> tuple:
+def check_grid(epsilons, repetitions, workers) -> tuple:
     """Check the settings every experiment shares; returns the epsilons as floats, each given once."""
     if isinstance(epsilons, (str, bytes)):  # iterating text would read each character as an epsilon
         raise ConfigError(f"epsilons must be a sequence of positive finite reals, not text: {epsilons!r}")
@@ -112,7 +112,7 @@ class ExperimentConfig:
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
         check_mechanisms(self.mechanisms)
-        object.__setattr__(self, "epsilons", _check_grid(self.epsilons, self.repetitions, self.workers))
+        object.__setattr__(self, "epsilons", check_grid(self.epsilons, self.repetitions, self.workers))
         if not -1.0 <= self.default_value <= 1.0:
             raise ConfigError(f"default value must lie in [-1, 1], got {self.default_value}")
 
@@ -246,8 +246,7 @@ def run_sweep(config: ExperimentConfig, ds: Dataset, per_key: bool = False) -> S
     truth = true_stats(ds)
 
     def work(rng, _cell, mechanism, epsilon, rep):
-        return run_single(ds, mechanism, epsilon, rng, repetition=rep,
-                          default_value=config.default_value, truth=truth)
+        return run_single(ds, mechanism, epsilon, rng, repetition=rep, default_value=config.default_value)
 
     axes = {"mechanism": config.mechanisms, "epsilon": config.epsilons,
             "repetition": range(config.repetitions)}
@@ -387,7 +386,7 @@ def run_conditional(ds: Dataset, epsilons, repetitions: int, seed: int, queries=
     """
     if ds.d > IOH_DIMENSION_CAP:
         raise ConfigError(f"dataset dimension {ds.d} exceeds the one-hot cap of {IOH_DIMENSION_CAP}")
-    epsilons = _check_grid(epsilons, repetitions, workers)
+    epsilons = check_grid(epsilons, repetitions, workers)
     if method != "column":
         raise ConfigError(f"unknown simulation method {method!r}; choose column")
     queries = list(queries) if queries is not None else default_conditional_queries(ds.d)
@@ -426,6 +425,16 @@ class StudyResult(NamedTuple):
     failures: list
 
 
+def check_study_grid(vbars, epsilons, repetitions, workers) -> tuple:
+    """Check a default-value study's grid; returns its (vbars, epsilons) as floats."""
+    epsilons = check_grid(epsilons, repetitions, workers)
+    vbars = [float(v) for v in vbars]
+    if not vbars or any(not -1.0 <= v <= 1.0 for v in vbars):
+        raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
+    check_distinct("default value", vbars)
+    return vbars, epsilons
+
+
 def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0),
                         repetitions: int = 50, seed: int = 0, workers: int = 1) -> StudyResult:
     """Sweep the f2m default value over a grid at fixed budgets.
@@ -435,15 +444,10 @@ def default_value_study(ds: Dataset, vbars=DEFAULT_VBAR_GRID, epsilons=(0.5, 1.0
     across default values can be compared directly.  A cell that raises
     is recorded in failures and the rest of the grid still runs.
     """
-    epsilons = _check_grid(epsilons, repetitions, workers)
-    vbars = [float(v) for v in vbars]
-    if not vbars or any(not -1.0 <= v <= 1.0 for v in vbars):
-        raise ConfigError(f"default values must lie in [-1, 1], got {vbars}")
-    check_distinct("default value", vbars)
-    truth = true_stats(ds)
+    vbars, epsilons = check_study_grid(vbars, epsilons, repetitions, workers)
 
     def work(rng, _cell, epsilon, vbar, rep):
-        row = run_single(ds, "f2m", epsilon, rng, repetition=rep, default_value=vbar, truth=truth).row.as_dict()
+        row = run_single(ds, "f2m", epsilon, rng, repetition=rep, default_value=vbar).row.as_dict()
         row["vbar"] = vbar
         return row
 

@@ -589,6 +589,27 @@ def test_a_dataset_file_without_users_or_keys_is_a_domain_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["default-study", "--dataset", "gaussian", "--vbar=0,0"], "default value 0.0 is given more than once"),
+    (["default-study", "--dataset", "regime:high:low", "--vbar", "2"], "default values must lie in [-1, 1]"),
+    (["default-study", "--dataset", "gaussian", "--epsilon", "0"], "epsilons must be positive finite reals"),
+    (["default-study", "--dataset", "gaussian", "--reps", "0"], "repetitions must be an integer"),
+    (["conditional", "--dims", "2,3", "--epsilon", "0"], "epsilons must be positive finite reals"),
+    (["conditional", "--dims", "2", "--reps", "0"], "repetitions must be an integer"),
+    (["conditional", "--dims", "2", "--dataset", "gaussian", "--workers", "0"], "workers must be an integer"),
+], ids=["study-vbar-repeated", "study-vbar-range", "study-epsilon", "study-reps",
+        "conditional-epsilon", "conditional-reps", "conditional-workers"])
+def test_a_bad_grid_is_a_config_error_before_any_dataset_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    # default-study --vbar=0,0 at n=3e5 used to build its dataset and exit 2 only after 1.24 s.
+    for name in ("gen_regime", "gen_synthetic", "load_dataset"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--n", "300000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and message in err
+    assert not out.exists()
+
+
 def test_conditional_checks_a_dataset_file_against_every_dimension_before_any_grid(tmp_path, capsys, monkeypatch):
     # --dims 5,3 on a 5-key file used to run the d=5 grid before it rejected 3.
     dataset = tmp_path / "ds.csv"

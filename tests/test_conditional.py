@@ -293,7 +293,7 @@ def test_conditional_contradictory_condition_is_undefined():
 @pytest.mark.parametrize("full_partition", [False, True], ids=["lumped", "full"])
 @pytest.mark.parametrize("d, epsilon", [(4, 1.0), (4, 50.0), (8, 1.0), (8, 50.0)])
 def test_query_plan_answers_are_the_operators_bit_for_bit(d, epsilon, full_partition):
-    values = gen_regime("high", "low", d, 3000, seed=30 + d).values
+    values = gen_regime("high", "low", d, 3000, seed=30 + d).values.copy()  # a dataset's values are read-only
     values[:, d - 1] = np.nan_to_num(values[:, d - 1], nan=0.5)  # every user holds the last key
     # The workload's queries, whose last one (k1 given k{d}=0) is contradictory, then a mean target on two keys.
     queries = [(0, Condition.parse(f"k{j}={bit}", d)) for j in range(2, d + 1) for bit in (1, 0)]

@@ -1,5 +1,6 @@
 """Dataset generator, ingestion, and oracle tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,46 @@ def test_true_stats_matches_the_where_formulation_bit_for_bit():
         sums = np.where(present, ds.values, 0.0).sum(axis=0)
         mean = np.where(holders > 0, sums / np.where(holders > 0, holders, 1), np.nan)
         assert true_stats(ds).mean.tobytes() == mean.tobytes()
+
+
+def test_a_dataset_is_immutable_and_keeps_its_truth():
+    ds = gen_synthetic("gaussian", 6, 500, seed=3)
+    truth = true_stats(ds)
+    assert true_stats(ds) is truth
+    for array in (ds.values, truth.frequency, truth.mean):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.values = ds.values.copy()
+    assert true_stats(ds) is truth
+
+
+def test_dataset_values_are_a_c_ordered_view_copied_only_for_another_layout():
+    values = gen_synthetic("uniform", 5, 300, seed=4).values.copy()
+    ds = Dataset(values)
+    assert ds.values.base is values and ds.values.flags.c_contiguous
+    assert values.flags.writeable  # the caller's array keeps its flags
+    for other in (np.asfortranarray(values), np.repeat(values, 2, axis=1)[:, ::2], values.astype(np.float32)):
+        copied = Dataset(other).values
+        assert copied.flags.c_contiguous and not np.shares_memory(copied, other)
+    assert Dataset(np.asfortranarray(values)).values.tobytes() == values.tobytes()
+
+
+def test_fortran_and_c_ordered_datasets_have_the_same_truth_bytes():
+    values = gen_synthetic("gaussian", 40, 3000, seed=8).values
+    c_truth, f_truth = true_stats(Dataset(values)), true_stats(Dataset(np.asfortranarray(values)))
+    assert c_truth.frequency.tobytes() == f_truth.frequency.tobytes()
+    assert c_truth.mean.tobytes() == f_truth.mean.tobytes()
+
+
+def test_a_columns_truth_is_the_same_alone_as_in_a_wider_matrix():
+    # A lone column is summed row by row, as a column of a C-ordered matrix is, not pairwise.
+    values = gen_synthetic("gaussian", 7, 70001, seed=12).values
+    wide = true_stats(Dataset(values))
+    for k in range(values.shape[1]):
+        alone = true_stats(Dataset(values[:, [k]]))
+        assert alone.frequency.tobytes() == wide.frequency[[k]].tobytes()
+        assert alone.mean.tobytes() == wide.mean[[k]].tobytes()
 
 
 def test_true_conditional_toy_tables():

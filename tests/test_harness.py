@@ -8,7 +8,7 @@ import pytest
 
 import jsonschema
 
-from kvldp import harness
+from kvldp import datagen, harness
 from kvldp.conditional import Condition, Lumping, query_classes
 from kvldp.core import RandomSource
 from kvldp.datagen import Dataset, gen_regime, gen_synthetic, true_stats
@@ -129,6 +129,30 @@ def test_experiment_worker_invariance(experiment):
     assert len(rows) >= 6
     # repr tells floats apart to the last bit and matches NaN with NaN.
     assert repr(rows) == repr(experiment(3))
+
+
+def _sweep_and_study(ds):
+    config = ExperimentConfig(mechanisms=("kvue", "f2m"), epsilons=(0.5, 2.0), repetitions=2, seed=5)
+    sweep = run_sweep(config, ds, per_key=True)
+    again = run_sweep(ExperimentConfig(mechanisms=("privkv",), epsilons=(1.0,), repetitions=2, seed=6), ds)
+    detail, summary, _ = default_value_study(ds, (-1.0, 1.0), (1.0,), 2, seed=7)
+    # repr tells floats apart to the last bit and matches NaN with NaN.
+    return repr((rows_to_dicts(sweep.rows), sweep.per_key_rows, rows_to_dicts(again.rows), detail, summary))
+
+
+def test_sweeps_over_one_dataset_run_the_truth_pass_once(monkeypatch):
+    calls = []
+    pass_ = datagen._ground_truth
+    monkeypatch.setattr(datagen, "_ground_truth", lambda values: calls.append(1) or pass_(values))
+    ds = _small_dataset(n=3000, d=6)
+    rows = _sweep_and_study(ds)
+    assert len(calls) == 1
+    assert rows == _sweep_and_study(Dataset(ds.values.copy())) and len(calls) == 2
+
+
+def test_fortran_and_c_ordered_datasets_give_the_same_sweep_rows():
+    values = _small_dataset(n=3000, d=6).values
+    assert _sweep_and_study(Dataset(np.asfortranarray(values))) == _sweep_and_study(Dataset(values))
 
 
 def test_run_sweep_records_partial_failures():

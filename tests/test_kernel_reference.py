@@ -26,9 +26,9 @@ budget whose inverse-CDF threshold, equals the uniform drawn for it
 exactly, so a strict comparison turned non-strict changes the output.
 
 A later section keeps the forms that the row-blocked draws, the strided
-query sums and the column-only oracles replaced: one-shot (n, d) draws, a
-gather by ascending product index, and an oracle over the whole presence
-matrix.
+query sums, the column-only oracles and the blocked ground truth
+replaced: one-shot (n, d) draws, a gather by ascending product index, an
+oracle over the whole presence matrix and one masked reduction of it.
 
 The last section keeps the hand-written clip and degeneracy steps that
 clipped_ratio replaced: the decoders' np.where/np.clip post-steps and the
@@ -68,7 +68,7 @@ from kvldp.core import (
     row_blocks,
     state_digits,
 )
-from kvldp.datagen import Dataset, _materialize, true_conditional, true_conditionals
+from kvldp.datagen import Dataset, _materialize, true_conditional, true_conditionals, true_stats
 from kvldp.harness import MECHANISMS
 from kvldp.mechanisms import (
     ABSENT,
@@ -723,6 +723,14 @@ def _ref_materialize(freq_targets, mean_targets, n, rng, value_spread):
     return np.where(present, mean_targets[None, :] + jitter, np.nan)
 
 
+def _ref_true_stats(values):
+    present = ~np.isnan(values)
+    holders = present.sum(axis=0)
+    sums = np.add.reduce(values, axis=0, where=present)
+    mean = np.where(holders > 0, sums / np.where(holders > 0, holders, 1), np.nan)
+    return holders / values.shape[0], mean
+
+
 def _aggregate(d, seed):
     """Calibrated-looking values over 16 decades, so any change of summation order shows."""
     rng = np.random.default_rng(seed)
@@ -898,6 +906,21 @@ def test_batched_oracle_matches_each_query_alone(shape):
     assert np.isnan(got).all(axis=1).any()  # an empty matched set
     assert (np.isnan(got[:, 1]) & (got[:, 0] == 0.0)).any()  # matched users, no holders
     assert not np.isnan(got).any(axis=1).all()  # and answered queries
+
+
+@pytest.mark.parametrize("d", [2, 9, 100])
+def test_blocked_true_stats_matches_the_one_shot_masked_reduce(d):
+    # n = 1, then under one block, two blocks and one row past a block.  Key d is
+    # held by no user, key 1 by every user; half the zeros are -0.0, and
+    # for d > 2 key 2 is -0.0 wherever it is held.
+    for n in [1, *_block_sizes(d)]:
+        values = _matrix(n, d, 130 + n)
+        values[(values == 0.0) & (np.random.default_rng(n).random(values.shape) < 0.5)] = -0.0
+        if d > 2:
+            values[~np.isnan(values[:, 1]), 1] = -0.0
+        truth = true_stats(Dataset(values))
+        _assert_same_arrays((truth.frequency, truth.mean), _ref_true_stats(values))
+        assert np.isnan(truth.mean[-1]) and truth.frequency[-1] == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 12])
