@@ -76,6 +76,45 @@ class RandomSource:
         return RandomSource(self.seed, sid)
 
 
+def seek(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A new Philox generator positioned words raw 64-bit words past rng, which is left untouched.
+
+    Every double that random or uniform draws is one raw word, so the new
+    generator draws next what rng would after that many doubles, and its
+    state, buffer included, is the one those draws would leave.  Philox
+    makes four words per counter step, so the cost does not grow with words:
+    the words left in rng's buffer are skipped, the counter is advanced
+    over whole steps, and the last step is drawn, whole or in part.
+    """
+    if not isinstance(rng.bit_generator, np.random.Philox):
+        raise DomainError(f"only a Philox stream can be seeked, got {type(rng.bit_generator).__name__}")
+    if not isinstance(words, (int, np.integer)) or words < 0:
+        raise DomainError(f"words must be a non-negative integer, got {words!r}")
+    source = rng.bit_generator.state
+    bit_generator = np.random.Philox(key=source["state"]["key"])
+    bit_generator.state = source
+    past_buffer = int(words) - (4 - source["buffer_pos"])
+    if past_buffer > 0:
+        # advance empties the buffer, so the last step, even a whole one, is drawn: the
+        # buffer then holds that step's words, as after a draw that ends on it.
+        steps, words = divmod(past_buffer - 1, 4)
+        words += 1
+        bit_generator.state = {**source, "buffer_pos": 4}
+        bit_generator.advance(steps)
+        # advance also clears the spare 32-bit word, which a double draw leaves alone.
+        bit_generator.state = {**bit_generator.state, "has_uint32": source["has_uint32"],
+                               "uinteger": source["uinteger"]}
+    bit_generator.random_raw(words)
+    return np.random.Generator(bit_generator)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def row_blocks(n: int, row_size: int, block_elements: int = 65536) -> list:
     """Slices cutting n rows of row_size elements into consecutive blocks.
 

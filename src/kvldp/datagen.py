@@ -13,11 +13,13 @@ import functools
 import itertools
 import json
 import math
+import mmap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapacityError, DomainError, RandomSource, atomic_writer, row_blocks
+from .core import CapacityError, DomainError, RandomSource, atomic_writer, row_blocks, seek, usable_cpus
 from .conditional import Condition
 
 FREQUENCY_REGIMES = {"extreme_low": 0.05, "low": 0.2, "middle": 0.6, "high": 0.8}
@@ -56,6 +58,11 @@ class Dataset:
     def d(self) -> int:
         return self.values.shape[1]
 
+    def __reduce__(self):
+        # A copy or an unpickled dataset is rebuilt through the constructor, so its
+        # values are read-only again and it computes its own truth.
+        return Dataset, (self.values, self.provenance)
+
     @functools.cached_property
     def _truth(self) -> GroundTruth:
         # cached_property writes the instance dict, which a frozen dataclass allows.
@@ -70,21 +77,49 @@ class GroundTruth:
     mean: np.ndarray
 
 
+_TWO_BITS, _NAN_BITS = np.array([2.0, np.nan]).view(np.uint64)
+
+
 @contextlib.contextmanager
 def _fits_in_memory(what: str):
-    """CapacityError where numpy refuses to allocate what."""
+    """CapacityError where numpy or mmap refuses to allocate what."""
     try:
         yield
-    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest array
+    # numpy raises ValueError past its largest array, mmap OSError or, past its largest size, OverflowError
+    except (MemoryError, ValueError, OSError, OverflowError) as exc:
         raise CapacityError(f"{what} does not fit in memory") from exc
 
 
+def _mapped_matrix(n, d):
+    """An uninitialized (n, d) float64 matrix in an anonymous mapping of its own.
+
+    Once a free has raised glibc's dynamic mmap threshold, malloc serves
+    n x d arrays from its heap, where the holes they leave decide the peak
+    memory of later work (records-io read 114-115 MB against 109-110 MB
+    when generation stopped allocating a presence matrix first).  A mapping
+    of its own stays out of that heap and gives its pages back when freed.
+    Huge pages are advised, as numpy does for its large arrays: without
+    them first touch and every pass over the matrix are slower.
+    """
+    buffer = mmap.mmap(-1, n * d * 8, access=mmap.ACCESS_COPY)
+    with contextlib.suppress(AttributeError, OSError):  # no huge pages here
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, count=n * d).reshape(n, d)
+
+
 def _materialize(freq_targets, mean_targets, n, rng, value_spread):
-    """Draw the user/key presence matrix and jittered values around the targets.
+    """Draw the user/key presence and jittered values around the targets.
 
     Values are drawn uniformly on [m - w, m + w] with w capped at 1 - |m|,
     which keeps them inside [-1, 1] and leaves the expected value exactly
     at the target (a clipped bell around m would bias extreme targets).
+
+    The bytes and rng's final state are those of one presence draw
+    rng.random((n, d)) < freq_targets followed by one value draw
+    rng.uniform(-1, 1, (n, d)), whatever the number of CPUs: the rows are
+    cut into one contiguous range per usable CPU (at most one per row
+    block), and each range seeks both streams to its first row and fills
+    its rows of the result block by block, in cache.
     """
     if not value_spread >= 0.0:
         raise DomainError(f"value spread must be a non-negative number, got {value_spread!r}")
@@ -93,22 +128,39 @@ def _materialize(freq_targets, mean_targets, n, rng, value_spread):
     d = len(freq_targets)
     half_width = np.minimum(value_spread, 1.0 - np.abs(mean_targets))
     with _fits_in_memory(f"n x d = {n} x {d}"):
-        # Presence is drawn in row blocks into one bool matrix: the draws are
-        # those of one (n, d) draw, without its n x d float temporary.
-        present = np.empty((n, d), dtype=bool)
-        for rows in row_blocks(n, d):
-            block = present[rows]
-            np.less(rng.random(block.shape), freq_targets, out=block)
-        # Built in place: one transient n x d float buffer instead of four.
-        # Whether four fitted the heap left by earlier work decided the
-        # process's peak memory.  The arithmetic, and so every value, is
-        # that of np.where(present, mean + uniform * half_width, nan).
-        values = rng.uniform(-1.0, 1.0, size=(n, d))
-    values *= half_width[None, :]
-    values += mean_targets[None, :]
-    # NaN is filled block by block, so the inverse mask stays block-sized.
-    for rows in row_blocks(n, d):
-        np.copyto(values[rows], np.nan, where=~present[rows])
+        values = _mapped_matrix(n, d)
+
+    def fill(lo, hi):
+        presence, uniform = seek(rng, lo * d), seek(rng, (n + lo) * d)
+        part = values[lo:hi]
+        blocks = row_blocks(hi - lo, d)
+        scale = np.empty(part[blocks[0]].shape, dtype=np.uint64)
+        for rows in blocks:
+            block = part[rows]
+            bits = scale[:len(block)]
+            presence.random(out=block)
+            # The bits of 2.0 where the key is present and of NaN where it is absent.
+            np.greater_equal(block, freq_targets, out=bits)
+            np.negative(bits, out=bits)
+            bits &= _TWO_BITS ^ _NAN_BITS
+            bits ^= _TWO_BITS
+            # 2u - 1 is the -1 + 2u that uniform(-1, 1) computes, bit for bit, and an
+            # absent key's NaN passes through the arithmetic unchanged: one multiply
+            # both doubles and masks, where a masked copy cost as much as the draw.
+            uniform.random(out=block)
+            block *= bits.view(np.float64)
+            block -= 1.0
+            block *= half_width
+            block += mean_targets
+
+    ranges = min(usable_cpus(), len(row_blocks(n, d)))
+    bounds = [n * i // ranges for i in range(ranges + 1)]
+    if ranges > 1:
+        with ThreadPoolExecutor(max_workers=ranges) as pool:
+            list(pool.map(fill, bounds[:-1], bounds[1:]))
+    else:
+        fill(0, n)
+    rng.bit_generator.state = seek(rng, 2 * n * d).bit_generator.state
     return values
 
 
@@ -488,7 +540,8 @@ def load_dataset(path) -> Dataset:
                 raise DomainError(f"{path}: not a kvldp dataset file")
             header = _read_header(path, first[len(_DATASET_MAGIC):])
             with _fits_in_memory(f"{path}: line 1: header n x d = {header['n']} x {header['d']}"):
-                values = np.full((header["n"], header["d"]), np.nan)
+                values = _mapped_matrix(header["n"], header["d"])
+                values.fill(np.nan)
             lineno = 2
             while lines := list(itertools.islice(handle, _CHUNK_ROWS)):
                 _load_chunk(path, lines, lineno, values)

@@ -23,7 +23,6 @@ import io
 import itertools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -40,7 +39,7 @@ from .conditional import (
     QueryPlan,
     query_classes,
 )
-from .core import DomainError, RandomSource, atomic_writer, ensure_generator
+from .core import DomainError, RandomSource, atomic_writer, ensure_generator, usable_cpus
 from .datagen import Dataset, GroundTruth, true_conditionals, true_stats
 from .mechanisms import PAYLOADS, PROTOCOLS, code_table
 
@@ -217,8 +216,7 @@ def _run_grid(tag: int, seed: int, axes: dict, work, workers: int):
     stream = cell_streams(seed, tag)
     cells = itertools.product(*(range(len(labels)) for labels in axes.values()))
     # pool.map submits every cell at once: no more threads than cells or than CPUs this process may use.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, math.prod(map(len, axes.values())), cpus)
+    workers = min(workers, math.prod(map(len, axes.values())), usable_cpus())
 
     def attempt(cell):
         labels = [axis[i] for axis, i in zip(axes.values(), cell)]

@@ -13,6 +13,7 @@ from kvldp.core import (
     PrivacyBudget,
     RandomSource,
     flip_keep_probability,
+    seek,
     state_digits,
 )
 from kvldp.mechanisms import (
@@ -182,6 +183,56 @@ def test_substreams_are_distinct_and_reproducible():
     assert root.substream(2, 3) == root.substream(2, 3)
     assert root.substream(2, 3) != root.substream(3, 2)
     assert root.substream(0) != root
+
+
+def _after(drawn, state=None):
+    """A (3, 9) stream, or one set to state, after a one-shot draw of drawn doubles."""
+    g = RandomSource(3, 9).generator()
+    if state is not None:
+        g.bit_generator.state = state
+    g.random(drawn)
+    return g
+
+
+# 0 to 36 words reach every remainder of the words past the buffer modulo 4
+# nine times; then offsets of many whole counter steps.
+SEEK_OFFSETS = [*range(37), 4096, 4097, 10**5 + 3]
+
+
+@pytest.mark.parametrize("before", range(5))
+def test_seek_lands_where_a_draw_of_as_many_doubles_does(before):
+    # before = 0 leaves the buffer unfilled; 1, 2, 3 and 4 leave 3, 2, 1 and 0 words in it.
+    for words in SEEK_OFFSETS:
+        g = _after(before)
+        untouched = repr(g.bit_generator.state)
+        seeked = seek(g, words)
+        assert repr(g.bit_generator.state) == untouched
+        drawn = _after(before + words)
+        assert repr(seeked.bit_generator.state) == repr(drawn.bit_generator.state), words
+        assert seeked.random(9).tobytes() == drawn.random(9).tobytes()
+
+
+def test_seek_carries_into_the_next_counter_word_and_keeps_the_spare_32_bits():
+    state = _after(0).bit_generator.state
+    state["state"]["counter"] = np.array([2**64 - 2, 2**64 - 1, 0, 7], dtype=np.uint64)
+    for words in (7, 8, 9, 12):
+        assert repr(seek(_after(0, state), words).bit_generator.state) == repr(
+            _after(words, state).bit_generator.state)
+    g = RandomSource(3, 9).generator()
+    g.integers(0, 10, dtype=np.uint32)  # leaves half a word for the next 32-bit draw
+    drawn = RandomSource(3, 9).generator()
+    drawn.integers(0, 10, dtype=np.uint32)
+    drawn.random(11)
+    seeked = seek(g, 11)
+    assert seeked.bit_generator.state["has_uint32"] == 1
+    assert repr(seeked.bit_generator.state) == repr(drawn.bit_generator.state)
+
+
+def test_seek_refuses_another_bit_generator_and_a_negative_offset():
+    with pytest.raises(DomainError, match="Philox"):
+        seek(np.random.default_rng(0), 1)
+    with pytest.raises(DomainError, match="non-negative"):
+        seek(RandomSource(0).generator(), -1)
 
 
 def test_random_source_validation():

@@ -1,7 +1,9 @@
 """Dataset generator, ingestion, and oracle tests."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,6 +286,23 @@ def test_a_dataset_is_immutable_and_keeps_its_truth():
     with pytest.raises(dataclasses.FrozenInstanceError):
         ds.values = ds.values.copy()
     assert true_stats(ds) is truth
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda ds: pickle.loads(pickle.dumps(ds))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_dataset_is_immutable_and_computes_its_own_truth(copy_of):
+    # Both copies used to carry writable values next to the original's stored truth.
+    ds = gen_synthetic("gaussian", 6, 500, seed=3)
+    truth = true_stats(ds)
+    copied = copy_of(ds)
+    assert "_truth" not in vars(copied)
+    assert copied.values.tobytes() == ds.values.tobytes() and copied.provenance == ds.provenance
+    with pytest.raises(ValueError, match="read-only"):
+        copied.values[0] = 0.0
+    copied_truth = true_stats(copied)
+    assert copied_truth is not truth
+    assert copied_truth.frequency.tobytes() == truth.frequency.tobytes()
+    assert copied_truth.mean.tobytes() == truth.mean.tobytes()
 
 
 def test_dataset_values_are_a_c_ordered_view_copied_only_for_another_layout():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -436,7 +437,7 @@ class _PoolRecorder:
 def test_the_pool_has_at_most_one_thread_per_cell_and_cpu(monkeypatch, cpus, expected):
     # 5000 workers once asked for a thread per cell; here the grid has 2 x 3 cells.
     monkeypatch.setattr(harness, "ThreadPoolExecutor", _PoolRecorder)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(_PoolRecorder, "sizes", [])
     ds = _small_dataset(n=500, d=3)
 

@@ -43,6 +43,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kvldp import datagen
 from kvldp.conditional import (
     AggregateVector,
     Condition,
@@ -66,6 +67,7 @@ from kvldp.core import (
     RandomSource,
     flip_keep_probability,
     row_blocks,
+    seek,
     state_digits,
 )
 from kvldp.datagen import Dataset, _materialize, true_conditional, true_conditionals, true_stats
@@ -931,6 +933,41 @@ def test_blocked_presence_matches_the_one_shot_draw(d):
         g, ref = _generators(120 + n)
         got = _materialize(freq, mean, n, g, 0.1)
         _assert_identical(got, _ref_materialize(freq, mean, n, ref, 0.1), g, ref)
+
+
+def _gaussian_targets(g, d):
+    """gen_synthetic's gaussian targets; their normal draws leave the buffer part-way through a counter step."""
+    return np.clip(g.normal(0.5, 0.15, size=d), 0.05, 0.95), np.clip(g.normal(0.0, 0.4, size=d), -0.9, 0.9)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n, d, ranges", [
+    (3 * (65536 // 12) + 7, 12, (1, 2, 3)),   # n not a multiple of the block
+    (2, 70000, (1, 2, 2)),                     # fewer rows than CPUs: one row per block
+    (2 * 65536 + 5, 1, (1, 2, 3)),             # one key
+    (1, 1, (1, 1, 1)),
+], ids=["ragged", "n-below-cpus", "d1", "single"])
+def test_generation_is_the_one_shot_draw_whatever_the_cpu_count(monkeypatch, cpus, n, d, ranges):
+    # One range per CPU, and never more ranges than row blocks; each range seeks the
+    # presence and the value stream to its first row, and the caller's stream ends
+    # where the one-shot draws leave it.
+    seeks = []
+
+    def recording_seek(rng, words):
+        seeks.append(words)
+        return seek(rng, words)
+
+    monkeypatch.setattr(datagen, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(datagen, "seek", recording_seek)
+    g, ref = _generators(140 + d)
+    freq, mean = _gaussian_targets(g, d)
+    ref_freq, ref_mean = _gaussian_targets(ref, d)
+    assert 0 < g.bit_generator.state["buffer_pos"] < 4
+    got = _materialize(freq, mean, n, g, 0.1)
+    _assert_identical(got, _ref_materialize(ref_freq, ref_mean, n, ref, 0.1), g, ref)
+    count = ranges[cpus - 1]
+    starts = [n * i // count * d for i in range(count)]
+    assert sorted(seeks) == sorted(starts + [n * d + start for start in starts] + [2 * n * d])
 
 
 # ---------------------------------------------------------------------------
